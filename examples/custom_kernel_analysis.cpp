@@ -40,6 +40,9 @@ class StridedAxpyKernel final : public gpusim::TraceKernel {
     return g;
   }
 
+  // The engine simulates a launch's SMs in parallel, so emit_warp may be
+  // called concurrently for different warps: derive everything from the
+  // arguments and const members, and mutate no shared state.
   void emit_warp(int block, int warp,
                  gpusim::TraceSink& sink) const override {
     const auto idx = [&](int lane) {

@@ -1,6 +1,9 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <memory>
 
 namespace bf {
 
@@ -44,28 +47,73 @@ void ThreadPool::wait_idle() {
   idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
+namespace {
+
+/// The shared state of one parallel_for call. The caller and its helper
+/// tasks claim chunks from `next`; the caller waits on `done` alone. A
+/// helper that starts after every chunk was claimed returns without
+/// touching `fn`, so the state (kept alive by the helpers' shared_ptr)
+/// may outlive the caller's frame but `fn` is never used after it.
+struct ForCall {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::size_t chunk_size = 1;
+  std::size_t chunks = 0;
+  const std::function<void(std::size_t)>* fn = nullptr;
+  std::atomic<std::size_t> next{0};
+
+  std::mutex mu;
+  std::condition_variable all_done;
+  std::size_t done = 0;
+  std::size_t failed_at = 0;  // lowest throwing index, valid when error
+  std::exception_ptr error;
+
+  void drain() {
+    for (std::size_t c = next.fetch_add(1); c < chunks;
+         c = next.fetch_add(1)) {
+      const std::size_t lo = begin + c * chunk_size;
+      const std::size_t hi = std::min(end, lo + chunk_size);
+      std::size_t i = lo;
+      std::exception_ptr err;
+      try {
+        for (; i < hi; ++i) (*fn)(i);
+      } catch (...) {
+        err = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (err && (!error || i < failed_at)) {
+        error = err;
+        failed_at = i;
+      }
+      if (++done == chunks) all_done.notify_all();
+    }
+  }
+};
+
+}  // namespace
+
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& fn) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
-  const std::size_t nthreads = size();
-  if (nthreads == 1 || n == 1) {
+  if (workers_.empty() || n == 1) {
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
-  const std::size_t chunks = std::min(n, nthreads * 4);
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * chunk_size;
-    const std::size_t hi = std::min(end, lo + chunk_size);
-    if (lo >= hi) break;
-    // Audited: wait_idle() below outlives every task, so &fn cannot
-    // dangle.
-    submit([lo, hi, &fn] {  // bf-lint: allow(capture-escape)
-      for (std::size_t i = lo; i < hi; ++i) fn(i);
-    });
+  auto call = std::make_shared<ForCall>();
+  call->begin = begin;
+  call->end = end;
+  call->chunk_size = (n + workers_.size() * 4 - 1) / (workers_.size() * 4);
+  call->chunks = (n + call->chunk_size - 1) / call->chunk_size;
+  call->fn = &fn;
+  const std::size_t helpers = std::min(call->chunks - 1, workers_.size());
+  for (std::size_t h = 0; h < helpers; ++h) {
+    submit([call] { call->drain(); });
   }
-  wait_idle();
+  call->drain();
+  std::unique_lock<std::mutex> lock(call->mu);
+  call->all_done.wait(lock, [&call] { return call->done == call->chunks; });
+  if (call->error) std::rethrow_exception(call->error);
 }
 
 ThreadPool& ThreadPool::global() {

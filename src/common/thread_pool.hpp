@@ -1,10 +1,10 @@
 // A small fixed-size thread pool with a parallel_for helper.
 //
-// Random-forest training and the per-SM simulation loops are embarrassingly
-// parallel; parallel_for chunks an index range over the pool. On a
-// single-core host the pool degenerates to serial execution with no
-// threading overhead (size 1 runs inline), so results and performance remain
-// sensible everywhere.
+// Random-forest training, the per-SM simulation of a kernel launch and
+// the serve batch fan-out are embarrassingly parallel; parallel_for chunks
+// an index range over the pool. On a single-core host the pool
+// degenerates to serial execution with no threading overhead (size 1 runs
+// inline), so results and performance remain sensible everywhere.
 #pragma once
 
 #include <condition_variable>
@@ -35,8 +35,14 @@ class ThreadPool {
   void wait_idle();
 
   /// Run fn(i) for i in [begin, end), partitioned into contiguous chunks
-  /// across the pool. Blocks until complete. fn must be thread-safe across
-  /// distinct indices.
+  /// across the pool. fn must be thread-safe across distinct indices.
+  ///
+  /// Blocks until this call's chunks are done, not until the pool is
+  /// idle: the calling thread claims chunks too, so concurrent callers do
+  /// not wait on each other and a call from inside a pool task cannot
+  /// deadlock. If fn throws, every chunk still finishes and the exception
+  /// of the lowest throwing index is rethrown here, exactly as a serial
+  /// loop would report it.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "gpusim/cache.hpp"
 #include "gpusim/coalescer.hpp"
 #include "gpusim/sharedmem.hpp"
@@ -30,8 +31,24 @@ bool validation_forced_by_env() {
 
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
+/// One warp instruction as the SM executes it, lowered from its WarpInstr
+/// when the warp is admitted. The lane addresses are gone: a shared
+/// access keeps its bank-conflict passes, a global access its transaction
+/// count and the offset of its segments in the warp's slab. 12 bytes
+/// where a WarpInstr takes 140.
+struct LoweredInstr {
+  std::uint32_t mask = 0;
+  std::uint32_t seg_begin = 0;  ///< global ops: first segment in the slab
+  Op op = Op::kIAlu;
+  std::uint8_t access_bytes = 0;
+  bool divergent = false;
+  std::uint8_t count = 0;  ///< shared: bank passes; global: transactions
+};
+static_assert(sizeof(LoweredInstr) == 12);
+
 struct WarpState {
-  WarpTrace trace;
+  std::vector<LoweredInstr> trace;
+  std::vector<std::uint64_t> segments;  ///< global-op transaction slab
   std::size_t pc = 0;
   std::uint64_t ready = 0;
   int scheduler = 0;
@@ -58,6 +75,11 @@ class SmSim {
         geom_(geom),
         max_resident_(max_resident_blocks),
         queue_(std::move(block_queue)),
+        banks_(arch),
+        load_segment_bytes_(arch.l1_caches_global_loads
+                                ? arch.l1_transaction_bytes
+                                : arch.l2_transaction_bytes),
+        arith_cost_(arch.arith_issue_cycles()),
         l1_(static_cast<std::int64_t>(arch.l1_size_kb) * 1024,
             arch.l1_line_bytes, arch.l1_assoc),
         l2_(arch.l2_slice_bytes(),
@@ -74,7 +96,9 @@ class SmSim {
     settle();
     while (!blocks_.empty()) {
       step();
-      settle();
+      // Blocks only retire when a warp finishes, so settle() has nothing
+      // to do otherwise.
+      if (warp_finished_) settle();
     }
     // Write-back of dirty L2 lines at kernel end (bytes leave to DRAM).
     const std::uint64_t dirty = l2_.flush_dirty();
@@ -93,6 +117,7 @@ class SmSim {
   /// admitted block can be degenerate — all-empty traces — and retire
   /// immediately).
   void settle() {
+    warp_finished_ = false;
     while (true) {
       bool changed = false;
       for (std::size_t b = 0; b < blocks_.size();) {
@@ -122,8 +147,10 @@ class SmSim {
     const int warps = geom_.warps_per_block(arch_.warp_size);
     for (int w = 0; w < warps; ++w) {
       auto ws = std::make_unique<WarpState>();
-      TraceSink sink(ws->trace);
+      emitted_.clear();
+      TraceSink sink(emitted_);
       kernel_.emit_warp(block_id, w, sink);
+      lower(emitted_, *ws);
       ws->ready = cycle_;
       ws->scheduler =
           static_cast<int>(warp_admit_counter_++ %
@@ -136,6 +163,46 @@ class SmSim {
       ctx->warps.push_back(std::move(ws));
     }
     blocks_.push_back(std::move(ctx));
+  }
+
+  /// Reduce a warp's emitted trace to what issue() reads: coalesce global
+  /// accesses into the warp's segment slab and resolve shared accesses to
+  /// their bank passes, once, at admission.
+  void lower(const WarpTrace& emitted, WarpState& warp) const {
+    warp.trace.reserve(emitted.size());
+    for (const WarpInstr& in : emitted) {
+      LoweredInstr& out = warp.trace.emplace_back();
+      out.mask = in.mask;
+      out.op = in.op;
+      out.access_bytes = in.access_bytes;
+      out.divergent = in.divergent;
+      int count = 0;
+      switch (in.op) {
+        case Op::kLdShared:
+        case Op::kStShared:
+          count = shared_access_passes(in.mask, in.addr, banks_);
+          break;
+        case Op::kAtomicShared:
+          count = shared_atomic_passes(in.mask, in.addr, banks_);
+          break;
+        case Op::kLdGlobal:
+        case Op::kStGlobal:
+          BF_CHECK(warp.segments.size() <=
+                   std::numeric_limits<std::uint32_t>::max());
+          out.seg_begin = static_cast<std::uint32_t>(warp.segments.size());
+          // Stores bypass L1 (Fermi is write-through-no-allocate; Kepler
+          // has no L1 global path) and coalesce at L2 segment granularity.
+          count = append_segments(
+              in.mask, in.addr, in.access_bytes,
+              in.op == Op::kLdGlobal ? load_segment_bytes_
+                                     : arch_.l2_transaction_bytes,
+              warp.segments);
+          break;
+        default:
+          break;
+      }
+      out.count = static_cast<std::uint8_t>(count);
+    }
   }
 
   void rebuild_scheduler_lists() {
@@ -208,10 +275,12 @@ class SmSim {
     if (list.empty()) return nullptr;
     const std::size_t n = list.size();
     std::size_t& rr = sched_rr_[sched];
+    std::size_t at = rr % n;  // the list may have shrunk since rr was set
     for (std::size_t i = 0; i < n; ++i) {
-      WarpState* w = list[(rr + i) % n];
+      WarpState* w = list[at];
+      if (++at == n) at = 0;
       if (!w->done && !w->at_barrier && w->ready <= cycle_) {
-        rr = (rr + i + 1) % n;
+        rr = at;
         return w;
       }
     }
@@ -223,7 +292,7 @@ class SmSim {
   /// Execute the warp's next instruction; returns the issue slots it
   /// consumed on its scheduler (1 = single slot, free for dual issue).
   int issue(WarpState* warp) {
-    const WarpInstr& in = warp->trace[warp->pc++];
+    const LoweredInstr& in = warp->trace[warp->pc++];
     CounterSet& c = *counters_;
     c.add(Event::kInstExecuted, 1);
     c.add(Event::kThreadInstExecuted, popcount_mask(in.mask));
@@ -239,7 +308,7 @@ class SmSim {
         }
         const int lat = (in.op == Op::kSfu) ? arch_.sfu_dep_latency
                                             : arch_.alu_dep_latency;
-        cost = arch_.arith_issue_cycles();
+        cost = arith_cost_;
         warp->ready = cycle_ + static_cast<std::uint64_t>(lat);
         break;
       }
@@ -247,7 +316,7 @@ class SmSim {
         c.add(Event::kInstIssued, 1);
         c.add(Event::kBranch, 1);
         if (in.divergent) c.add(Event::kDivergentBranch, 1);
-        cost = arch_.arith_issue_cycles();
+        cost = arith_cost_;
         warp->ready =
             cycle_ + static_cast<std::uint64_t>(arch_.alu_dep_latency);
         break;
@@ -259,7 +328,7 @@ class SmSim {
       }
       case Op::kLdShared:
       case Op::kStShared: {
-        const int passes = shared_access_passes(in, arch_);
+        const int passes = in.count;
         const int replays = passes - 1;
         c.add(Event::kInstIssued, passes);
         if (in.op == Op::kLdShared) {
@@ -270,7 +339,7 @@ class SmSim {
           c.add(Event::kSharedStoreReplay, replays);
         }
         c.add(Event::kSharedBankConflict, replays);
-        cost = arch_.arith_issue_cycles() + replays;
+        cost = arith_cost_ + replays;
         warp->ready =
             cycle_ +
             static_cast<std::uint64_t>(arch_.shared_latency + replays);
@@ -279,13 +348,13 @@ class SmSim {
       case Op::kAtomicShared: {
         // Atomics serialise over both bank conflicts and same-address
         // collisions; every extra pass is a replayed issue slot.
-        const int passes = shared_atomic_passes(in, arch_);
+        const int passes = in.count;
         const int replays = passes - 1;
         c.add(Event::kInstIssued, passes);
         c.add(Event::kSharedStore, 1);  // nvprof counts atomics as stores
         c.add(Event::kSharedStoreReplay, replays);
         c.add(Event::kSharedBankConflict, replays);
-        cost = arch_.arith_issue_cycles() + replays;
+        cost = arith_cost_ + replays;
         warp->ready =
             cycle_ +
             static_cast<std::uint64_t>(arch_.shared_latency + 2 * replays);
@@ -306,21 +375,21 @@ class SmSim {
     return cost;
   }
 
-  int execute_global_load(WarpState* warp, const WarpInstr& in) {
+  int execute_global_load(WarpState* warp, const LoweredInstr& in) {
     CounterSet& c = *counters_;
     c.add(Event::kGldRequest, 1);
     c.add(Event::kGlobalLoadBytesRequested,
           static_cast<double>(popcount_mask(in.mask)) * in.access_bytes);
 
     const bool via_l1 = arch_.l1_caches_global_loads;
-    const int seg_bytes =
-        via_l1 ? arch_.l1_transaction_bytes : arch_.l2_transaction_bytes;
-    const auto segments = coalesce(in, seg_bytes);
-    const int ntrans = static_cast<int>(segments.size());
+    const int seg_bytes = load_segment_bytes_;
+    const int ntrans = in.count;
     c.add(Event::kGlobalLoadTransaction, ntrans);
 
     int worst_latency = 0;
-    for (const std::uint64_t seg : segments) {
+    const std::uint64_t* segments = warp->segments.data() + in.seg_begin;
+    for (int t = 0; t < ntrans; ++t) {
+      const std::uint64_t seg = segments[t];
       int lat;
       if (via_l1) {
         const auto l1r = l1_.access(seg, /*write=*/false);
@@ -344,7 +413,7 @@ class SmSim {
     c.add(Event::kInstIssued, 1 + replays);
     warp->ready =
         cycle_ + static_cast<std::uint64_t>(worst_latency + replays);
-    return arch_.arith_issue_cycles() + replays;
+    return arith_cost_ + replays;
   }
 
   /// One read reaching L2; returns the latency of the worst level touched.
@@ -364,20 +433,19 @@ class SmSim {
     return arch_.dram_latency;
   }
 
-  int execute_global_store(WarpState* warp, const WarpInstr& in) {
+  int execute_global_store(WarpState* warp, const LoweredInstr& in) {
     CounterSet& c = *counters_;
     c.add(Event::kGstRequest, 1);
     c.add(Event::kGlobalStoreBytesRequested,
           static_cast<double>(popcount_mask(in.mask)) * in.access_bytes);
 
-    // Stores bypass L1 (Fermi is write-through-no-allocate; Kepler has no
-    // L1 global path) and coalesce at L2 segment granularity.
-    const auto segments = coalesce(in, arch_.l2_transaction_bytes);
-    const int ntrans = static_cast<int>(segments.size());
+    // The segments were coalesced at L2 granularity during lowering.
+    const int ntrans = in.count;
     c.add(Event::kGlobalStoreTransaction, ntrans);
     c.add(Event::kL2WriteTransactions, ntrans);
-    for (const std::uint64_t seg : segments) {
-      const auto r = l2_.access(seg, /*write=*/true);
+    const std::uint64_t* segments = warp->segments.data() + in.seg_begin;
+    for (int t = 0; t < ntrans; ++t) {
+      const auto r = l2_.access(segments[t], /*write=*/true);
       if (r.writeback) {
         c.add(Event::kDramWriteTransactions,
               l2_.line_bytes() / arch_.l2_transaction_bytes);
@@ -390,7 +458,7 @@ class SmSim {
     // issue serialisation, not for DRAM.
     warp->ready =
         cycle_ + static_cast<std::uint64_t>(arch_.alu_dep_latency + replays);
-    return arch_.arith_issue_cycles() + replays;
+    return arith_cost_ + replays;
   }
 
   // ---- barriers / warp completion ----
@@ -426,6 +494,7 @@ class SmSim {
   void finish_warp(WarpState* warp) {
     if (warp->done) return;
     warp->done = true;
+    warp_finished_ = true;
     BlockCtx& block = *blocks_[static_cast<std::size_t>(warp->block_slot)];
     --block.live_warps;
     // Scheduler lists are cleaned on the next settle(); pick_warp already
@@ -439,6 +508,10 @@ class SmSim {
   const int max_resident_;
   std::vector<int> queue_;
   std::size_t next_in_queue_ = 0;
+  const SharedBanks banks_;
+  const int load_segment_bytes_;
+  const int arith_cost_;  // issue slots of one warp-wide arithmetic op
+  WarpTrace emitted_;  // one warp's trace before lowering, reused
 
   Cache l1_;
   Cache l2_;
@@ -449,6 +522,7 @@ class SmSim {
   std::uint64_t warp_admit_counter_ = 0;
   std::uint64_t cycle_ = 0;
   std::uint64_t completion_cycle_ = 0;
+  bool warp_finished_ = false;  // since the last settle()
   CounterSet* counters_ = nullptr;
 };
 
@@ -496,13 +570,25 @@ RunResult Device::run(const TraceKernel& kernel, const RunOptions& opts) const {
         sampled[i]);
   }
 
-  std::uint64_t max_cycles = 0;
-  for (int sm = 0; sm < arch_.sm_count; ++sm) {
-    if (per_sm[static_cast<std::size_t>(sm)].empty()) continue;
+  // Simulate the SMs that received blocks in parallel, each into its own
+  // counters. Every event is an integer-valued double far below 2^53, so
+  // the SM-order merge is exact and equals a serial run bit for bit. A
+  // failing SM's error (the lowest-index one) is rethrown here.
+  std::vector<std::size_t> busy;
+  for (std::size_t sm = 0; sm < per_sm.size(); ++sm) {
+    if (!per_sm[sm].empty()) busy.push_back(sm);
+  }
+  std::vector<CounterSet> sm_counters(busy.size());
+  std::vector<std::uint64_t> sm_cycles(busy.size(), 0);
+  ThreadPool::global().parallel_for(0, busy.size(), [&](std::size_t i) {
     SmSim sim(arch_, kernel, geom, result.occupancy.blocks_per_sm,
-              std::move(per_sm[static_cast<std::size_t>(sm)]));
-    const std::uint64_t cycles = sim.run(result.counters);
-    max_cycles = std::max(max_cycles, cycles);
+              std::move(per_sm[busy[i]]));
+    sm_cycles[i] = sim.run(sm_counters[i]);
+  });
+  std::uint64_t max_cycles = 0;
+  for (std::size_t i = 0; i < busy.size(); ++i) {
+    result.counters.accumulate(sm_counters[i]);
+    max_cycles = std::max(max_cycles, sm_cycles[i]);
   }
 
   result.counters.set(Event::kElapsedCycles,

@@ -25,6 +25,22 @@
 // total/sampled. A device-level DRAM bandwidth roofline is applied on top
 // of the latency model, since per-SM simulation cannot model global
 // bandwidth contention directly.
+//
+// How a launch runs on the host:
+//  * Admission-time lowering. When an SM admits a block, each warp's
+//    emitted WarpInstr trace (140 bytes per instruction, lane addresses
+//    included) is lowered to 12-byte records: op, mask, access width,
+//    divergence, plus the shared access's bank passes or the global
+//    access's transaction count and an offset into the warp's slab of
+//    coalesced segment addresses. Coalescing and bank-conflict analysis
+//    run once there; issuing an instruction only reads the result.
+//  * Per-SM parallelism. SMs share nothing (each has its own L1, L2 slice
+//    and block queue), so every SM that received blocks runs on
+//    ThreadPool::global() into its own CounterSet. The sets are merged in
+//    SM order and the device time is the slowest SM's. Every event is an
+//    integer-valued double far below 2^53, so the sums are exact in any
+//    order and a launch's counters equal a serial run's bit for bit. If
+//    SMs fail, the lowest-index SM's error is rethrown on the caller.
 #pragma once
 
 #include <cstdint>

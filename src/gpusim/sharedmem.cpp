@@ -1,70 +1,84 @@
 #include "gpusim/sharedmem.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "common/error.hpp"
 
 namespace bf::gpusim {
+namespace {
+
+bool is_pow2(int v) { return v > 0 && (v & (v - 1)) == 0; }
+
+}  // namespace
+
+SharedBanks::SharedBanks(const ArchSpec& arch) {
+  BF_CHECK_MSG(is_pow2(arch.shared_banks) && arch.shared_banks <= 64,
+               "shared bank count must be a power of two <= 64, got "
+                   << arch.shared_banks);
+  BF_CHECK_MSG(is_pow2(arch.shared_bank_width_bytes),
+               "shared bank width must be a power of two, got "
+                   << arch.shared_bank_width_bytes);
+  word_shift =
+      __builtin_ctz(static_cast<unsigned>(arch.shared_bank_width_bytes));
+  bank_mask = static_cast<std::uint32_t>(arch.shared_banks - 1);
+}
+
+int shared_access_passes(std::uint32_t mask,
+                         const std::array<std::uint32_t, 32>& addr,
+                         const SharedBanks& banks) {
+  // Passes = the most distinct words any one bank is asked for. Each bank
+  // chains the lanes that brought it a new word, so a lane compares only
+  // against the distinct words already in its own bank; finding its word
+  // there is a broadcast.
+  std::array<std::int8_t, 64> head;  // last lane with a new word, per bank
+  head.fill(-1);
+  std::array<std::int8_t, 32> prev{};  // the bank's previous such lane
+  std::array<std::uint32_t, 32> words{};
+  std::array<std::uint8_t, 64> distinct{};
+  int passes = 1;
+  for (std::uint32_t m = mask; m != 0; m &= m - 1) {
+    const int lane = __builtin_ctz(m);
+    const std::uint32_t word =
+        addr[static_cast<std::size_t>(lane)] >> banks.word_shift;
+    const std::uint32_t bank = word & banks.bank_mask;
+    int j = head[bank];
+    while (j >= 0 && words[static_cast<std::size_t>(j)] != word) {
+      j = prev[static_cast<std::size_t>(j)];
+    }
+    if (j >= 0) continue;
+    words[static_cast<std::size_t>(lane)] = word;
+    prev[static_cast<std::size_t>(lane)] = head[bank];
+    head[bank] = static_cast<std::int8_t>(lane);
+    passes = std::max(passes, static_cast<int>(++distinct[bank]));
+  }
+  return passes;
+}
+
+int shared_atomic_passes(std::uint32_t mask,
+                         const std::array<std::uint32_t, 32>& addr,
+                         const SharedBanks& banks) {
+  // Per bank, count ALL active lanes (duplicated addresses serialise too).
+  std::array<std::uint8_t, 64> lanes{};
+  int passes = 1;
+  for (std::uint32_t m = mask; m != 0; m &= m - 1) {
+    const std::uint32_t word =
+        addr[static_cast<std::size_t>(__builtin_ctz(m))] >> banks.word_shift;
+    const int in_bank = ++lanes[word & banks.bank_mask];
+    passes = std::max(passes, in_bank);
+  }
+  return passes;
+}
 
 int shared_access_passes(const WarpInstr& instr, const ArchSpec& arch) {
   BF_CHECK_MSG(instr.op == Op::kLdShared || instr.op == Op::kStShared,
                "shared_access_passes on non-shared instruction");
-  const int banks = arch.shared_banks;
-  const int width = arch.shared_bank_width_bytes;
-  BF_CHECK(banks > 0 && banks <= 64 && width > 0);
-
-  // Per bank, collect the distinct word addresses requested this access.
-  // Warp width is 32 so linear small-vector scans are cheapest.
-  std::array<std::array<std::uint32_t, 32>, 64> words{};
-  std::array<int, 64> counts{};
-  for (int lane = 0; lane < 32; ++lane) {
-    if (((instr.mask >> lane) & 1u) == 0) continue;
-    const std::uint32_t word =
-        instr.addr[static_cast<std::size_t>(lane)] /
-        static_cast<std::uint32_t>(width);
-    const int bank = static_cast<int>(word % static_cast<std::uint32_t>(banks));
-    auto& bank_words = words[static_cast<std::size_t>(bank)];
-    auto& n = counts[static_cast<std::size_t>(bank)];
-    bool seen = false;
-    for (int i = 0; i < n; ++i) {
-      if (bank_words[static_cast<std::size_t>(i)] == word) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) bank_words[static_cast<std::size_t>(n++)] = word;
-  }
-
-  int passes = 1;
-  for (int b = 0; b < banks; ++b) {
-    passes = std::max(passes, counts[static_cast<std::size_t>(b)]);
-  }
-  return passes;
+  return shared_access_passes(instr.mask, instr.addr, SharedBanks(arch));
 }
 
 int shared_atomic_passes(const WarpInstr& instr, const ArchSpec& arch) {
   BF_CHECK_MSG(instr.op == Op::kAtomicShared,
                "shared_atomic_passes on non-atomic instruction");
-  const int banks = arch.shared_banks;
-  const int width = arch.shared_bank_width_bytes;
-  BF_CHECK(banks > 0 && banks <= 64 && width > 0);
-
-  // Per bank, count ALL active lanes (duplicated addresses serialise too).
-  std::array<int, 64> counts{};
-  for (int lane = 0; lane < 32; ++lane) {
-    if (((instr.mask >> lane) & 1u) == 0) continue;
-    const std::uint32_t word =
-        instr.addr[static_cast<std::size_t>(lane)] /
-        static_cast<std::uint32_t>(width);
-    const int bank = static_cast<int>(word % static_cast<std::uint32_t>(banks));
-    ++counts[static_cast<std::size_t>(bank)];
-  }
-  int passes = 1;
-  for (int b = 0; b < banks; ++b) {
-    passes = std::max(passes, counts[static_cast<std::size_t>(b)]);
-  }
-  return passes;
+  return shared_atomic_passes(instr.mask, instr.addr, SharedBanks(arch));
 }
 
 }  // namespace bf::gpusim

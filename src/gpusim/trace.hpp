@@ -6,6 +6,10 @@
 // memory operations and the active-thread mask (divergent branches appear
 // as instructions with partial masks, exactly as a real SIMT pipeline
 // serialises them).
+//
+// WarpInstr is the kernel-facing record only. The engine lowers each
+// warp's trace when it admits the warp (coalesced segments, bank passes)
+// and keeps none of the per-lane addresses past that point.
 #pragma once
 
 #include <array>
@@ -139,6 +143,12 @@ struct LaunchGeometry {
 
 /// The interface kernels implement: given a flat block index and a warp
 /// index within the block, emit that warp's trace.
+///
+/// The engine simulates a launch's SMs in parallel, so emit_warp (like
+/// name and geometry) may be called concurrently from several threads on
+/// one kernel object. It must be a pure function of its arguments and the
+/// kernel's immutable state: no caches, counters or RNGs shared between
+/// calls.
 class TraceKernel {
  public:
   virtual ~TraceKernel() = default;

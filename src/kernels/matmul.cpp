@@ -1,6 +1,7 @@
 #include "kernels/matmul.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/error.hpp"
 #include "kernels/kernel_base.hpp"
@@ -44,9 +45,20 @@ void MatMulKernel::emit_warp(int block, int warp, TraceSink& sink) const {
   if (lanes <= 0) return;
   const std::uint32_t scope = gpusim::mask_first_lanes(lanes);
 
-  // Flat thread id -> (tx, ty) within the tile.
-  const auto tx = [&](int lane) { return (warp * 32 + lane) % tile_; };
-  const auto ty = [&](int lane) { return (warp * 32 + lane) / tile_; };
+  // Flat thread id -> (tx, ty) within the tile, resolved once per warp
+  // rather than per lane of every memory op.
+  std::array<int, 32> tx_of{};
+  std::array<int, 32> ty_of{};
+  for (int lane = 0; lane < 32; ++lane) {
+    tx_of[static_cast<std::size_t>(lane)] = (warp * 32 + lane) % tile_;
+    ty_of[static_cast<std::size_t>(lane)] = (warp * 32 + lane) / tile_;
+  }
+  const auto tx = [&](int lane) {
+    return tx_of[static_cast<std::size_t>(lane)];
+  };
+  const auto ty = [&](int lane) {
+    return ty_of[static_cast<std::size_t>(lane)];
+  };
 
   // Shared layout: As at word offset 0, Bs right after.
   const std::uint32_t bs_off = static_cast<std::uint32_t>(tile_ * tile_) * 4;

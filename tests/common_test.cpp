@@ -3,8 +3,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <string>
+#include <thread>
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
@@ -297,6 +302,73 @@ TEST(ThreadPool, SubmitAndWaitIdle) {
   }
   pool.wait_idle();
   EXPECT_EQ(done.load(), 20);
+}
+
+TEST(ThreadPool, ConcurrentCallersDoNotWaitOnEachOther) {
+  // A's chunks stay blocked until B's parallel_for has returned. If B
+  // waited for the whole pool it would wait on A forever; A gives up
+  // after a generous timeout so a regression fails instead of hanging.
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool b_returned = false;
+  std::atomic<int> a_saw_b{0};
+  std::atomic<int> b_sum{0};
+  // Audited: both threads are joined before the captured frame ends.
+  std::thread a([&] {  // bf-lint: allow(capture-escape)
+    pool.parallel_for(0, 2, [&](std::size_t) {
+      std::unique_lock<std::mutex> lock(mu);
+      if (cv.wait_for(lock, std::chrono::seconds(20),
+                      [&] { return b_returned; })) {
+        ++a_saw_b;
+      }
+    });
+  });
+  std::thread b([&] {  // bf-lint: allow(capture-escape)
+    pool.parallel_for(0, 100, [&](std::size_t i) {
+      b_sum += static_cast<int>(i);
+    });
+    std::lock_guard<std::mutex> lock(mu);
+    b_returned = true;
+    cv.notify_all();
+  });
+  b.join();
+  a.join();
+  EXPECT_EQ(b_sum.load(), 4950);
+  EXPECT_EQ(a_saw_b.load(), 2);
+}
+
+TEST(ThreadPool, NestedParallelForCompletes) {
+  // Every outer index occupies a worker and runs an inner loop on the
+  // same pool: the inner callers must finish their own chunks instead of
+  // waiting for tasks queued behind the busy workers.
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(8 * 50);
+  pool.parallel_for(0, 8, [&](std::size_t outer) {
+    pool.parallel_for(0, 50, [&](std::size_t inner) {
+      hits[outer * 50 + inner]++;
+    });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForRethrowsLowestFailingIndex) {
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  try {
+    pool.parallel_for(0, 64, [&](std::size_t i) {
+      ++ran;
+      if (i == 9 || i == 40) throw Error("index " + std::to_string(i));
+    });
+    FAIL() << "no exception";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), "index 9");
+  }
+  EXPECT_GE(ran.load(), 10);
+  // The pool stays usable after a failed call.
+  std::atomic<int> after{0};
+  pool.parallel_for(0, 16, [&](std::size_t) { ++after; });
+  EXPECT_EQ(after.load(), 16);
 }
 
 }  // namespace

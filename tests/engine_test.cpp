@@ -2,7 +2,11 @@
 // small hand-built kernels with exactly known counter values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "gpusim/engine.hpp"
@@ -300,6 +304,82 @@ TEST(Engine, AggregateResultAccumulates) {
   EXPECT_EQ(agg.launches, 2);
   EXPECT_DOUBLE_EQ(agg.counters.get(Event::kInstExecuted), 4.0);
   EXPECT_GT(agg.time_ms, 0.0);
+}
+
+/// Every warp runs one coalesced load, except that the warps of the
+/// listed blocks fail while emitting their trace.
+class FailingBlocksKernel final : public TraceKernel {
+ public:
+  FailingBlocksKernel(int blocks, std::vector<int> failing)
+      : blocks_(blocks), failing_(std::move(failing)) {}
+
+  std::string name() const override { return "failing_blocks"; }
+  LaunchGeometry geometry() const override { return one_warp_blocks(blocks_); }
+  void emit_warp(int block, int /*warp*/, TraceSink& sink) const override {
+    const auto addr = lane_addrs([block](int lane) {
+      return 4096u * static_cast<std::uint32_t>(block) + 4u * lane;
+    });
+    if (block == failing_.front()) {
+      sink.global_load(/*mask=*/0, addr);  // rejected: empty mask
+    } else if (std::find(failing_.begin(), failing_.end(), block) !=
+               failing_.end()) {
+      throw Error("block " + std::to_string(block) + " failed");
+    }
+    sink.global_load(kFullMask, addr);
+  }
+
+ private:
+  int blocks_;
+  std::vector<int> failing_;
+};
+
+TEST(Engine, SmFailureSurfacesAsErrorOnCaller) {
+  // 64 one-warp blocks over 16 SMs: block b runs on SM b % 16.
+  const Device device(gtx580());
+  try {
+    device.run(FailingBlocksKernel(64, {37}));
+    FAIL() << "expected bf::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("memory op with empty mask"),
+              std::string::npos)
+        << e.what();
+  }
+  // Two SMs fail: the lower-index SM's error wins, whichever finished
+  // first (block 37 is on SM 5, block 50 on SM 2).
+  try {
+    device.run(FailingBlocksKernel(64, {37, 50}));
+    FAIL() << "expected bf::Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), "block 50 failed");
+  }
+  // The device and its pool stay usable.
+  EXPECT_DOUBLE_EQ(device.run(FailingBlocksKernel(64, {-1}))
+                       .counters.get(Event::kGldRequest),
+                   64.0);
+}
+
+TEST(Engine, ConcurrentRunsMatchASingleRun) {
+  // Callers on several threads share the SM pool; each run's counters
+  // must equal a lone run's, bit for bit.
+  const Device device(kepler_k20m());
+  const FailingBlocksKernel kernel(200, {-1});
+  const RunResult lone = device.run(kernel);
+  std::vector<RunResult> results(4);
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < results.size(); ++t) {
+    callers.emplace_back([&, t] {
+      results[t] = device.run(kernel);
+    });
+  }
+  for (auto& c : callers) c.join();
+  for (const RunResult& r : results) {
+    for (std::size_t e = 0; e < kNumEvents; ++e) {
+      EXPECT_EQ(r.counters.get(static_cast<Event>(e)),
+                lone.counters.get(static_cast<Event>(e)))
+          << event_name(static_cast<Event>(e));
+    }
+    EXPECT_EQ(r.time_ms, lone.time_ms);
+  }
 }
 
 TEST(Engine, EmptyGridRejected) {
