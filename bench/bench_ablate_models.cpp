@@ -9,6 +9,7 @@
 
 #include "bench_util.hpp"
 #include "core/model.hpp"
+#include "ml/flat_forest.hpp"
 #include "ml/linear_model.hpp"
 #include "ml/mars.hpp"
 #include "ml/metrics.hpp"
@@ -52,7 +53,7 @@ void compare_on(const std::string& label, const ml::Dataset& sweep) {
   fp.min_node_size = 2;
   fp.importance = false;
   rf.fit(x_train, y_train, predictors, fp);
-  score("random forest", rf.predict(x_test));
+  score("random forest", ml::FlatForest::freeze(rf).predict(x_test));
 
   ml::Glm glm;
   ml::GlmParams gp;

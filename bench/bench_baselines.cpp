@@ -15,6 +15,7 @@
 #include "bench_util.hpp"
 #include "core/model.hpp"
 #include "core/predictor.hpp"
+#include "ml/flat_forest.hpp"
 #include "ml/metrics.hpp"
 #include "ml/model_pool.hpp"
 #include "ml/stepwise.hpp"
@@ -90,7 +91,7 @@ int main() {
                     report::cell(ml::median_abs_pct_error(y_test, pred),
                                  1)});
   };
-  add_row("random forest", rf.predict(x_test));
+  add_row("random forest", ml::FlatForest::freeze(rf).predict(x_test));
   add_row("stepwise (Stargazer)", stepwise.predict(x_test));
   add_row("model pool (Eiger)", pool.predict(x_test));
   std::printf("in-range prediction on the held-out split:\n%s\n",

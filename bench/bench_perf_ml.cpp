@@ -4,7 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
-#include "ml/forest.hpp"
+#include "ml/flat_forest.hpp"
 #include "ml/linear_model.hpp"
 #include "ml/mars.hpp"
 #include "ml/pca.hpp"
@@ -64,8 +64,9 @@ void BM_ForestPredict(benchmark::State& state) {
   params.n_trees = 500;
   params.importance = false;
   rf.fit(prob.x, prob.y, prob.names, params);
+  const auto flat = ml::FlatForest::freeze(rf);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rf.predict(prob.x));
+    benchmark::DoNotOptimize(flat.predict(prob.x));
   }
   state.SetItemsProcessed(state.iterations() * 200);
 }
@@ -77,8 +78,9 @@ void BM_PartialDependence(benchmark::State& state) {
   ml::ForestParams params;
   params.n_trees = 300;
   rf.fit(prob.x, prob.y, prob.names, params);
+  const auto flat = ml::FlatForest::freeze(rf);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rf.partial_dependence("c0", 25));
+    benchmark::DoNotOptimize(flat.partial_dependence(prob.x, "c0", 25));
   }
 }
 BENCHMARK(BM_PartialDependence)->Unit(benchmark::kMillisecond);

@@ -48,19 +48,16 @@ std::optional<std::string> read_file(const std::string& path) {
   return buf.str();
 }
 
-int read_format_version(std::istream& is, const char* magic,
-                        int max_supported) {
+void read_format_version(std::istream& is, const char* magic, int version) {
   std::string tag;
-  int version = 0;
-  BF_CHECK_MSG(static_cast<bool>(is >> tag >> version),
+  int got = 0;
+  BF_CHECK_MSG(static_cast<bool>(is >> tag >> got),
                "truncated stream: expected '" << magic << " <version>'");
   BF_CHECK_MSG(tag == magic, "bad magic: expected '" << magic << "', got '"
                                                      << tag << "'");
-  BF_CHECK_MSG(version >= 1 && version <= max_supported,
-               magic << " format_version " << version
-                     << " is unsupported (reader handles 1.."
-                     << max_supported << ")");
-  return version;
+  BF_CHECK_MSG(got == version, magic << " format_version " << got
+                                     << " is unsupported (this build reads "
+                                     << magic << ' ' << version << " only)");
 }
 
 std::uint64_t fnv1a64(std::string_view data) {

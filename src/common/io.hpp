@@ -26,13 +26,12 @@ std::optional<std::string> read_file(const std::string& path);
 
 /// Read a "<magic> <version>" header from a serialized stream and
 /// validate both fields. Every serialized-struct reader must call this
-/// (and bind the result to a `format_version` variable) before parsing
-/// any field, so that a future format can evolve without old readers
-/// silently misinterpreting new payloads — enforced by the bf_lint
-/// `artifact-version` rule. Throws bf::Error on a magic mismatch or a
-/// version outside [1, max_supported].
-int read_format_version(std::istream& is, const char* magic,
-                        int max_supported);
+/// before parsing any field, so that a changed format is rejected
+/// instead of silently misinterpreted — enforced by the bf_lint
+/// `artifact-version` rule. Each record has exactly one readable
+/// version: throws bf::Error on a magic mismatch or any version other
+/// than `version`.
+void read_format_version(std::istream& is, const char* magic, int version);
 
 /// FNV-1a 64-bit hash — the repository's content checksum.
 std::uint64_t fnv1a64(std::string_view data);

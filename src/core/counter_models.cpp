@@ -494,8 +494,7 @@ void CounterModels::save(std::ostream& os) const {
 }
 
 CounterModels CounterModels::load(std::istream& is) {
-  const int format_version = read_format_version(is, "bf_counter_models", 1);
-  (void)format_version;
+  read_format_version(is, "bf_counter_models", 1);
   CounterModels out;
   std::size_t n_inputs = 0;
   BF_CHECK_MSG(static_cast<bool>(is >> n_inputs) && n_inputs >= 1 &&

@@ -101,19 +101,9 @@ std::vector<double> BlackForestModel::predict(const ml::Dataset& ds) const {
   return flat_.predict(x);
 }
 
-void BlackForestModel::refreeze(ml::TreeLayout layout) {
-  BF_CHECK_MSG(forest_.fitted(),
-               "refreeze needs the training-side forest (models loaded "
-               "from a flat-only record cannot change layout)");
-  flat_ = ml::FlatForest::freeze(forest_, layout);
-}
-
 void BlackForestModel::save(std::ostream& os) const {
   BF_CHECK_MSG(flat_.fitted(), "save on unfitted model");
   os.precision(17);
-  // Version 2 stores the frozen flat forest only: serving loads the fast
-  // form directly and skips the (much larger) pointer-tree dump with its
-  // retained training matrix.
   os << "bf_model 2\n";
   os << predictors_.size();
   for (const auto& p : predictors_) os << ' ' << p;
@@ -123,7 +113,7 @@ void BlackForestModel::save(std::ostream& os) const {
 }
 
 BlackForestModel BlackForestModel::load(std::istream& is) {
-  const int format_version = read_format_version(is, "bf_model", 2);
+  read_format_version(is, "bf_model", 2);
   BlackForestModel model;
   std::size_t n = 0;
   BF_CHECK_MSG(static_cast<bool>(is >> n) && n >= 1 && n <= 100'000,
@@ -135,14 +125,7 @@ BlackForestModel BlackForestModel::load(std::istream& is) {
   BF_CHECK_MSG(
       static_cast<bool>(is >> model.test_mse_ >> model.test_explained_var_),
       "bf_model: truncated statistics");
-  if (format_version == 1) {
-    // Pre-flat bundle: load the pointer forest and freeze it on the spot,
-    // so old artifacts serve through the same fast path as new ones.
-    model.forest_ = ml::RandomForest::load(is);
-    model.flat_ = ml::FlatForest::freeze(model.forest_);
-  } else {
-    model.flat_ = ml::FlatForest::load(is);
-  }
+  model.flat_ = ml::FlatForest::load(is);
   BF_CHECK_MSG(model.flat_.feature_names() == model.predictors_,
                "bf_model: forest features disagree with predictor list");
   return model;

@@ -44,12 +44,12 @@ class BlackForestModel {
   BlackForestModel refit_with(const std::vector<std::string>& predictors)
       const;
 
-  /// Training-side pointer forest. Fitted models always carry it;
-  /// models loaded from a version-2 "bf_model" record carry only the
-  /// frozen flat form (forest().fitted() is false there) — inference
-  /// goes through flat() in either case.
+  /// Training-side forest (OOB statistics, importance, the trees).
+  /// Fitted models carry it; models loaded from a "bf_model" record carry
+  /// only the frozen flat form (forest().fitted() is false there).
   const ml::RandomForest& forest() const { return forest_; }
-  /// The frozen flat inference engine (always fitted on a usable model).
+  /// The frozen flat inference engine (always fitted on a usable model);
+  /// every prediction and partial-dependence query runs on it.
   const ml::FlatForest& flat() const { return flat_; }
   const std::vector<std::string>& predictors() const { return predictors_; }
   /// Name of the response column this model was fitted against
@@ -72,17 +72,26 @@ class BlackForestModel {
   std::vector<std::string> top_variables(std::size_t k) const {
     return forest_.top_variables(k);
   }
+  /// Partial dependence over the training rows (paper §4.1.1), plain and
+  /// with the per-tree band. Needs the training data, so loaded models
+  /// cannot answer it.
   std::vector<ml::PartialDependencePoint> partial_dependence(
       const std::string& predictor, std::size_t grid = 25) const {
-    return forest_.partial_dependence(predictor, grid);
+    return flat_.partial_dependence(train_.to_matrix(predictors_), predictor,
+                                    grid);
+  }
+  std::vector<ml::PartialDependenceInterval> partial_dependence_interval(
+      const std::string& predictor, std::size_t grid = 25,
+      double alpha = 0.1) const {
+    return flat_.partial_dependence_interval(train_.to_matrix(predictors_),
+                                             predictor, grid, alpha);
   }
 
   /// Predict times for rows of a dataset that contains (at least) the
   /// model's predictor columns. Runs on the flat engine.
   std::vector<double> predict(const ml::Dataset& ds) const;
 
-  /// Forest prediction with the per-tree quantile band, served by the
-  /// flat engine (bit-identical to the pointer forest). The scratch form
+  /// Forest prediction with the per-tree quantile band. The scratch form
   /// is the allocation-free hot path.
   ml::PredictionInterval predict_interval(const double* row, double alpha,
                                           ml::ForestScratch& scratch) const {
@@ -93,17 +102,11 @@ class BlackForestModel {
     return flat_.predict_intervals(x, alpha);
   }
 
-  /// Re-freeze the flat engine with a different node layout (the frozen
-  /// predictions are layout-invariant; this is for benchmarking and
-  /// layout experiments). Requires the training-side forest.
-  void refreeze(ml::TreeLayout layout);
-
-  /// Serialise the fitted model for .bfmodel bundles: predictor names,
-  /// held-out statistics and the *frozen flat forest* (format version 2).
-  /// The train/test datasets and the pointer trees are NOT stored — a
+  /// Serialise the fitted model for .bfmodel bundles ("bf_model 2"):
+  /// predictor names, held-out statistics and the frozen flat forest.
+  /// The train/test datasets and the training trees are NOT stored — a
   /// loaded model predicts (bit-identically) but cannot be refit;
-  /// train_data()/test_data() on it are empty. Version-1 records (full
-  /// pointer-forest dump) still load and are frozen on load.
+  /// train_data()/test_data() on it are empty.
   void save(std::ostream& os) const;
   static BlackForestModel load(std::istream& is);
 

@@ -322,15 +322,8 @@ PredictionSeries ProblemScalingPredictor::validate(
 
 void ProblemScalingPredictor::save(std::ostream& os) const {
   os.precision(17);
-  // Version 2 only adds the response record; predictors of the classic
-  // time response keep writing version 1, so every byte of a no-power
-  // export is identical to what the pre-power writer produced.
-  if (response_ == profiling::kTimeColumn) {
-    os << "bf_psp 1\n";
-  } else {
-    os << "bf_psp 2\n";
-    os << "response " << response_ << "\n";
-  }
+  os << "bf_psp 2\n";
+  os << "response " << response_ << "\n";
   // The architecture is stored by name and re-resolved from the compiled
   // registry on load: physical caps derive from the spec, so name-based
   // lookup keeps capped predictions identical across export/reload.
@@ -350,14 +343,11 @@ void ProblemScalingPredictor::save(std::ostream& os) const {
 }
 
 ProblemScalingPredictor ProblemScalingPredictor::load(std::istream& is) {
-  const int format_version = read_format_version(is, "bf_psp", 2);
+  read_format_version(is, "bf_psp", 2);
   ProblemScalingPredictor p;
   std::string tag;
-  if (format_version >= 2) {
-    BF_CHECK_MSG(
-        static_cast<bool>(is >> tag >> p.response_) && tag == "response",
-        "bf_psp: malformed response record");
-  }
+  BF_CHECK_MSG(static_cast<bool>(is >> tag >> p.response_) && tag == "response",
+               "bf_psp: malformed response record");
   std::string arch_name;
   BF_CHECK_MSG(static_cast<bool>(is >> tag >> arch_name) && tag == "arch",
                "bf_psp: malformed arch record");

@@ -186,8 +186,7 @@ void DomainGuard::save(std::ostream& os) const {
 }
 
 DomainGuard DomainGuard::load(std::istream& is) {
-  const int format_version = read_format_version(is, "bf_hull", 1);
-  (void)format_version;
+  read_format_version(is, "bf_hull", 1);
   DomainGuard g;
   std::size_t n = 0;
   BF_CHECK_MSG(static_cast<bool>(is >> g.margin_ >> n),
@@ -212,8 +211,7 @@ void save_options(std::ostream& os, const GuardOptions& options) {
 }
 
 GuardOptions load_options(std::istream& is) {
-  const int format_version = read_format_version(is, "bf_guard_options", 1);
-  (void)format_version;
+  read_format_version(is, "bf_guard_options", 1);
   GuardOptions o;
   int enabled = 0;
   BF_CHECK_MSG(static_cast<bool>(is >> enabled >> o.margin >> o.far >>

@@ -5,6 +5,7 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
@@ -34,30 +35,49 @@ inline std::int64_t pack_lane(std::int32_t lane, std::int32_t node) {
          (static_cast<std::int64_t>(node) << 32);
 }
 
+/// Linear-interpolation quantile of an ascending, non-empty vector.
+double quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const std::size_t i = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(i);
+  if (i + 1 >= sorted.size()) return sorted.back();
+  return sorted[i] * (1.0 - frac) + sorted[i + 1] * frac;
+}
+
+/// The alpha band over ascending per-tree values around `mean`.
+PredictionInterval band(const std::vector<double>& sorted, double mean,
+                        double alpha) {
+  PredictionInterval out;
+  out.mean = mean;
+  out.lo = quantile(sorted, alpha / 2.0);
+  out.hi = quantile(sorted, 1.0 - alpha / 2.0);
+  return out;
+}
+
+/// Smallest and largest value of column `f`.
+std::pair<double, double> column_range(const linalg::Matrix& rows,
+                                       std::size_t f) {
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    lo = std::min(lo, rows(r, f));
+    hi = std::max(hi, rows(r, f));
+  }
+  return {lo, hi};
+}
+
+/// The g-th of `grid_points` evenly spaced values spanning [lo, hi].
+double grid_value(double lo, double hi, std::size_t g,
+                  std::size_t grid_points) {
+  return lo + (hi - lo) * static_cast<double>(g) /
+                  static_cast<double>(grid_points - 1);
+}
+
 }  // namespace
 
-const char* tree_layout_name(TreeLayout layout) {
-  switch (layout) {
-    case TreeLayout::kDepthFirst:
-      return "df";
-    case TreeLayout::kBreadthFirst:
-      return "bf";
-  }
-  BF_CHECK_MSG(false, "unknown tree layout");
-  return "?";
-}
-
-TreeLayout tree_layout_from_name(const std::string& name) {
-  if (name == "df") return TreeLayout::kDepthFirst;
-  if (name == "bf") return TreeLayout::kBreadthFirst;
-  BF_CHECK_MSG(false, "unknown tree layout name: " << name);
-  return TreeLayout::kDepthFirst;
-}
-
-FlatForest FlatForest::freeze(const RandomForest& forest, TreeLayout layout) {
+FlatForest FlatForest::freeze(const RandomForest& forest) {
   BF_CHECK_MSG(forest.fitted(), "freeze on unfitted forest");
   FlatForest out;
-  out.layout_ = layout;
   out.feature_names_ = forest.feature_names();
   out.feature_medians_ = forest.feature_medians();
   BF_CHECK_MSG(out.feature_medians_.size() == out.feature_names_.size(),
@@ -79,26 +99,17 @@ FlatForest FlatForest::freeze(const RandomForest& forest, TreeLayout layout) {
     return idx;
   };
 
-  // (source node, destination slot) work items. Depth-first consumes the
-  // list as a stack, breadth-first as a queue; in both cases a node's
-  // children are allocated as an adjacent pair the moment the node is
-  // placed, which is what keeps right == left + 1 true for either order.
+  // Stack of (source node, destination slot) work items, consumed
+  // depth-first. A node's children are allocated as an adjacent pair the
+  // moment the node is placed, which keeps right == left + 1.
   std::vector<std::pair<std::int32_t, std::int32_t>> work;
   for (std::size_t t = 0; t < forest.n_trees(); ++t) {
     const RegressionTree& tree = forest.tree(t);
     out.roots_.push_back(alloc_node());
-    work.clear();
-    std::size_t head = 0;
     work.emplace_back(0, out.roots_.back());
-    while (head < work.size()) {
-      std::pair<std::int32_t, std::int32_t> item;
-      if (layout == TreeLayout::kDepthFirst) {
-        item = work.back();
-        work.pop_back();
-      } else {
-        item = work[head++];
-      }
-      const auto [src, dst] = item;
+    while (!work.empty()) {
+      const auto [src, dst] = work.back();
+      work.pop_back();
       const RegressionTree::NodeView view = tree.node_view(src);
       FlatNode& node = out.nodes_[static_cast<std::size_t>(dst)];
       if (view.left == -1) {
@@ -117,13 +128,8 @@ FlatForest FlatForest::freeze(const RandomForest& forest, TreeLayout layout) {
       placed.left = l;
       placed.feature = view.feature;
       placed.tv = view.threshold;
-      if (layout == TreeLayout::kDepthFirst) {
-        work.emplace_back(view.right, r);
-        work.emplace_back(view.left, l);
-      } else {
-        work.emplace_back(view.left, l);
-        work.emplace_back(view.right, r);
-      }
+      work.emplace_back(view.right, r);
+      work.emplace_back(view.left, l);
     }
   }
   return out;
@@ -132,9 +138,8 @@ FlatForest FlatForest::freeze(const RandomForest& forest, TreeLayout layout) {
 const double* FlatForest::sanitize_row(const double* row,
                                        double* buffer) const {
   const std::size_t p = feature_medians_.size();
-  // Same repair path as RandomForest::sanitize_row, including the
-  // injected single-feature corruption, so guarded predictions stay
-  // bit-identical under armed faults too.
+  // Injected corruption: one feature becomes NaN before the trees see
+  // it, exercising the same repair path real dropped counters take.
   if (fault::should_fire(fault::points::kForestNanFeature)) {
     std::copy(row, row + p, buffer);
     buffer[0] = std::numeric_limits<double>::quiet_NaN();
@@ -207,7 +212,7 @@ void FlatForest::accumulate_block(const double* rows, std::size_t p,
   // links, ANDed across lanes, say when every lane has parked. Leaf
   // values are added straight into the per-row accumulators; the caller
   // drives tree ranges in ascending order, so each row's sum is built in
-  // tree order exactly like the pointer path.
+  // tree order exactly like predict_row.
   for (std::size_t t = t0; t < t1; ++t) {
     const std::int32_t root = roots_[t];
     std::int32_t idx[kRowBlock];
@@ -311,22 +316,11 @@ PredictionInterval FlatForest::predict_interval(const double* row,
   row = sanitize_row(row, scratch.repaired.data());
   tree_leaf_values(row, scratch.tree_values.data(), scratch);
   std::vector<double>& preds = scratch.tree_values;
-  // Sum before sorting: tree order first, same as the pointer path.
+  // Sum before sorting: the mean is built in tree order, like predict_row.
   double acc = 0.0;
   for (std::size_t t = 0; t < nt; ++t) acc += preds[t];
   std::sort(preds.begin(), preds.end());
-  const auto quantile = [&](double q) {
-    const double pos = q * static_cast<double>(preds.size() - 1);
-    const std::size_t i = static_cast<std::size_t>(pos);
-    const double frac = pos - static_cast<double>(i);
-    if (i + 1 >= preds.size()) return preds.back();
-    return preds[i] * (1.0 - frac) + preds[i + 1] * frac;
-  };
-  PredictionInterval out;
-  out.mean = acc / static_cast<double>(nt);
-  out.lo = quantile(alpha / 2.0);
-  out.hi = quantile(1.0 - alpha / 2.0);
-  return out;
+  return band(preds, acc / static_cast<double>(nt), alpha);
 }
 
 PredictionInterval FlatForest::predict_interval(const double* row,
@@ -348,11 +342,84 @@ std::vector<PredictionInterval> FlatForest::predict_intervals(
   return out;
 }
 
+std::size_t FlatForest::pd_feature(const linalg::Matrix& rows,
+                                   const std::string& feature,
+                                   std::size_t grid_points) const {
+  BF_CHECK_MSG(fitted(), "partial dependence on unfitted flat forest");
+  BF_CHECK_MSG(grid_points >= 2, "need at least 2 grid points");
+  BF_CHECK_MSG(rows.rows() >= 1 && rows.cols() == feature_names_.size(),
+               "partial dependence needs the fitted predictor rows");
+  const auto it =
+      std::find(feature_names_.begin(), feature_names_.end(), feature);
+  BF_CHECK_MSG(it != feature_names_.end(), "unknown feature: " << feature);
+  return static_cast<std::size_t>(it - feature_names_.begin());
+}
+
+std::vector<PartialDependencePoint> FlatForest::partial_dependence(
+    const linalg::Matrix& rows, const std::string& feature,
+    std::size_t grid_points) const {
+  const std::size_t f = pd_feature(rows, feature, grid_points);
+  const std::size_t n = rows.rows();
+  const auto [lo, hi] = column_range(rows, f);
+
+  std::vector<PartialDependencePoint> curve(grid_points);
+  linalg::Matrix clamped = rows;
+  std::vector<double> pred;
+  ForestScratch scratch;
+  for (std::size_t g = 0; g < grid_points; ++g) {
+    const double v = grid_value(lo, hi, g, grid_points);
+    for (std::size_t r = 0; r < n; ++r) clamped(r, f) = v;
+    predict(clamped, pred, scratch);
+    double acc = 0.0;
+    for (const double y : pred) acc += y;
+    curve[g].x = v;
+    curve[g].y = acc / static_cast<double>(n);
+  }
+  return curve;
+}
+
+std::vector<PartialDependenceInterval> FlatForest::partial_dependence_interval(
+    const linalg::Matrix& rows, const std::string& feature,
+    std::size_t grid_points, double alpha) const {
+  const std::size_t f = pd_feature(rows, feature, grid_points);
+  const std::size_t n = rows.rows();
+  const std::size_t p = rows.cols();
+  const std::size_t nt = roots_.size();
+  const auto [lo, hi] = column_range(rows, f);
+
+  std::vector<PartialDependenceInterval> curve(grid_points);
+  std::vector<double> row(p);
+  std::vector<double> leaf(nt);
+  std::vector<double> per_tree(nt);
+  ForestScratch scratch;
+  for (std::size_t g = 0; g < grid_points; ++g) {
+    const double v = grid_value(lo, hi, g, grid_points);
+    // Per tree: the average leaf value over the rows with the feature
+    // clamped (the fitted rows are finite, so they walk unrepaired); the
+    // band is over trees, matching how bagging variance is usually
+    // visualised.
+    std::fill(per_tree.begin(), per_tree.end(), 0.0);
+    for (std::size_t r = 0; r < n; ++r) {
+      const double* src = rows.row_ptr(r);
+      std::copy(src, src + p, row.begin());
+      row[f] = v;
+      tree_leaf_values(row.data(), leaf.data(), scratch);
+      for (std::size_t t = 0; t < nt; ++t) per_tree[t] += leaf[t];
+    }
+    for (auto& s : per_tree) s /= static_cast<double>(n);
+    std::sort(per_tree.begin(), per_tree.end());
+    double mean = 0.0;
+    for (const double s : per_tree) mean += s;
+    curve[g].x = v;
+    curve[g].y = band(per_tree, mean / static_cast<double>(nt), alpha);
+  }
+  return curve;
+}
+
 void FlatForest::save(std::ostream& os) const {
   BF_CHECK_MSG(fitted(), "save on unfitted flat forest");
-  os << "bf_flat_forest 1\n";
+  os << "bf_flat_forest 2\n";
   os.precision(17);
-  os << "layout " << tree_layout_name(layout_) << "\n";
   os << "features " << feature_names_.size();
   for (const auto& name : feature_names_) os << ' ' << name;
   os << "\n";
@@ -369,14 +436,9 @@ void FlatForest::save(std::ostream& os) const {
 }
 
 FlatForest FlatForest::load(std::istream& is) {
-  const int format_version = read_format_version(is, "bf_flat_forest", 1);
-  (void)format_version;
+  read_format_version(is, "bf_flat_forest", 2);
   FlatForest ff;
   std::string tag;
-  std::string layout_name;
-  BF_CHECK_MSG(static_cast<bool>(is >> tag >> layout_name) && tag == "layout",
-               "bf_flat_forest: malformed layout record");
-  ff.layout_ = tree_layout_from_name(layout_name);
   std::size_t p = 0;
   BF_CHECK_MSG(static_cast<bool>(is >> tag >> p) && tag == "features" &&
                    p >= 1 && p <= 100'000,

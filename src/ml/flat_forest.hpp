@@ -1,11 +1,11 @@
 // Flat-forest inference engine: the entire forest frozen into one
-// contiguous structure-of-arrays node table, herring/FIL-style.
+// contiguous structure-of-arrays node table, herring/FIL-style. It is the
+// only inference engine: every prediction, per-tree interval and
+// partial-dependence query runs here, while ml::RandomForest only fits.
 //
-// The training-side RandomForest walks per-tree std::vector<Node> objects
-// of 40-byte AoS nodes through an out-of-line call per tree — a chain of
-// dependent cache misses per prediction. FlatForest freezes a fitted
-// forest into one contiguous table of 16-byte node records shared by
-// every tree:
+// The training-side RandomForest keeps per-tree std::vector<Node> objects
+// of 40-byte AoS nodes. FlatForest freezes a fitted forest into one
+// contiguous table of 16-byte node records shared by every tree:
 //
 //   left     int32   left-child index; the right child is always
 //                    left + 1 (children are allocated as adjacent
@@ -16,30 +16,26 @@
 //   tv       double  split threshold for internal nodes, the leaf
 //                    value for leaves (they are never both needed)
 //
-// plus a per-tree root-index table. One node costs 16 bytes instead of
-// 40, a visit touches a single cache line instead of three arrays, and
-// the branchy child select becomes the branchless step
+// plus a per-tree root-index table. Nodes are laid out depth-first:
+// child pairs are allocated as the left spine unwinds, so a subtree is
+// one small contiguous region. One node costs 16 bytes instead of 40, a
+// visit touches a single cache line, and the branchy child select
+// becomes the branchless step
 //
 //   i = node.left + (row[node.feature] > node.tv)
 //
-// which is the exact negation of the pointer tree's
+// which is the exact negation of the training tree's
 // `row[f] <= thr ? left : right` for the finite values a sanitized row
 // contains. Walks run as a compacted list of interleaved lanes: the
 // dependent-load latency of one lane hides behind the others, and a
 // lane that reaches its leaf is dropped from the list instead of
 // spinning until the deepest lane finishes.
 //
-// Two freeze-time layouts are supported: depth-first (child pairs
-// allocated as the left spine unwinds — subtree-local, good when few
-// lanes run) and breadth-first (level-order — the top levels of all
-// subtrees stay packed, good for wide lane counts). Both obey the
-// adjacent-pair invariant, so the stepping kernel is layout-agnostic.
-//
-// Predictions are bit-identical to RandomForest: per-tree leaf values are
-// materialised into scratch and summed sequentially in tree order
-// (`acc += v; acc / n_trees`), NaN features are repaired with the same
-// training medians in the same order, and the ml.forest.nan_feature fault
-// point fires once per predict call exactly like the pointer path.
+// Predictions equal a walk of the training trees: per-tree leaf values
+// are summed sequentially in tree order (`acc += v; acc / n_trees`), and
+// non-finite features are repaired with the per-feature training medians
+// first (the ml.forest.nan_feature fault point is consulted once per
+// sanitized row).
 #pragma once
 
 #include <cstdint>
@@ -52,15 +48,39 @@
 
 namespace bf::ml {
 
-/// Node ordering chosen when a forest is frozen.
-enum class TreeLayout {
-  kDepthFirst,
-  kBreadthFirst,
+/// A forest prediction with an empirical uncertainty band (paper §7:
+/// "Integrating confidence intervals into the partial dependence plots
+/// would help interpretation and confidence in the outcome").
+struct PredictionInterval {
+  double mean = 0.0;
+  double lo = 0.0;  ///< lower quantile of the per-tree predictions
+  double hi = 0.0;  ///< upper quantile of the per-tree predictions
 };
 
-/// Stable one-token names ("df", "bf") for serialisation and reports.
-const char* tree_layout_name(TreeLayout layout);
-TreeLayout tree_layout_from_name(const std::string& name);
+/// One point of a partial-dependence curve.
+struct PartialDependencePoint {
+  double x = 0.0;  ///< value the predictor is clamped to
+  double y = 0.0;  ///< average model prediction over the rows
+};
+
+/// A partial-dependence point with the same band.
+struct PartialDependenceInterval {
+  double x = 0.0;
+  PredictionInterval y;
+};
+
+/// Caller-provided scratch for the allocation-free prediction paths.
+/// Reuse one instance across calls; the buffers grow to the forest's
+/// size once and are then recycled.
+struct ForestScratch {
+  /// Repaired-row buffer for NaN-feature median repair.
+  std::vector<double> repaired;
+  /// Per-tree leaf values (quantile input for intervals).
+  std::vector<double> tree_values;
+  /// Lane state of the compacted interleaved tree walk (tree id and
+  /// current node packed per lane).
+  std::vector<std::int64_t> walk_lanes;
+};
 
 /// One frozen node: 16 bytes, naturally aligned, so a visit touches
 /// exactly one cache line.
@@ -72,13 +92,11 @@ struct FlatNode {
 
 class FlatForest {
  public:
-  /// Freeze a fitted forest into the flat layout. The forest keeps its
-  /// training-side representation; the flat form is a pure view for
-  /// inference (pruned-dead nodes are dropped in the process).
-  static FlatForest freeze(const RandomForest& forest,
-                           TreeLayout layout = TreeLayout::kDepthFirst);
+  /// Freeze a fitted forest into the flat layout (pruned-dead nodes are
+  /// dropped in the process).
+  static FlatForest freeze(const RandomForest& forest);
 
-  /// Predict one row, bit-identical to RandomForest::predict_row.
+  /// Predict one row.
   double predict_row(const double* row, ForestScratch& scratch) const;
   /// Convenience overload that allocates its own scratch.
   double predict_row(const double* row) const;
@@ -93,9 +111,11 @@ class FlatForest {
                ForestScratch& scratch) const;
   std::vector<double> predict(const linalg::Matrix& x) const;
 
-  /// Prediction with the empirical per-tree interval, bit-identical to
-  /// RandomForest::predict_interval. After the call scratch.tree_values
-  /// holds the sorted per-tree leaf values (quantile input).
+  /// Prediction with an empirical interval: [lo, hi] are the alpha/2 and
+  /// 1-alpha/2 quantiles of the per-tree predictions (alpha = 0.1 gives
+  /// an 80% band). Wide bands flag extrapolation or sparse regions.
+  /// After the call scratch.tree_values holds the sorted per-tree leaf
+  /// values.
   PredictionInterval predict_interval(const double* row, double alpha,
                                       ForestScratch& scratch) const;
   PredictionInterval predict_interval(const double* row,
@@ -103,10 +123,25 @@ class FlatForest {
   std::vector<PredictionInterval> predict_intervals(const linalg::Matrix& x,
                                                     double alpha = 0.1) const;
 
+  /// Partial dependence of the response on `feature` (paper §4.1.1):
+  /// over `grid_points` values spanning the feature's range in `rows`,
+  /// the average prediction over `rows` with the feature clamped to each
+  /// value. Callers pass the matrix the forest was fitted on.
+  std::vector<PartialDependencePoint> partial_dependence(
+      const linalg::Matrix& rows, const std::string& feature,
+      std::size_t grid_points = 25) const;
+
+  /// Partial dependence with a per-grid-point band (the paper's §7
+  /// "confidence intervals in the partial dependence plots"): per tree,
+  /// the average leaf value over the clamped rows; the band is the
+  /// quantiles of those per-tree averages.
+  std::vector<PartialDependenceInterval> partial_dependence_interval(
+      const linalg::Matrix& rows, const std::string& feature,
+      std::size_t grid_points = 25, double alpha = 0.1) const;
+
   std::size_t n_trees() const { return roots_.size(); }
   std::size_t node_count() const { return nodes_.size(); }
   bool fitted() const { return !roots_.empty(); }
-  TreeLayout layout() const { return layout_; }
   const std::vector<std::string>& feature_names() const {
     return feature_names_;
   }
@@ -114,17 +149,24 @@ class FlatForest {
     return feature_medians_;
   }
 
-  /// Serialise the frozen form ("bf_flat_forest 1"): layout, features,
-  /// repair medians, root table and the node arrays. This is what
-  /// .bfmodel bundles store, so serving never rebuilds pointer trees.
+  /// Serialise the frozen form ("bf_flat_forest 2"): features, repair
+  /// medians, root table and the node arrays. This is what .bfmodel
+  /// bundles store.
   void save(std::ostream& os) const;
   static FlatForest load(std::istream& is);
 
  private:
-  /// Same repair semantics as RandomForest::sanitize_row, over a raw
-  /// buffer of feature-count capacity. Returns the row to predict from
-  /// (`row` itself when clean).
+  /// Repair a query row: replaces non-finite features (and the feature
+  /// corrupted by an armed ml.forest.nan_feature point) with training
+  /// medians, into a raw buffer of feature-count capacity. Returns the
+  /// row to predict from (`row` itself when clean).
   const double* sanitize_row(const double* row, double* buffer) const;
+
+  /// Column index of `feature`, after checking the shared preconditions
+  /// of the partial-dependence queries.
+  std::size_t pd_feature(const linalg::Matrix& rows,
+                         const std::string& feature,
+                         std::size_t grid_points) const;
 
   /// Per-tree leaf values for one sanitized row: every tree is a lane in
   /// one compacted walk list (scratch provides the lane state).
@@ -135,7 +177,6 @@ class FlatForest {
   void accumulate_block(const double* rows, std::size_t p, std::size_t n,
                         std::size_t t0, std::size_t t1, double* acc) const;
 
-  TreeLayout layout_ = TreeLayout::kDepthFirst;
   std::vector<std::int32_t> roots_;
   std::vector<FlatNode> nodes_;
   std::vector<std::string> feature_names_;

@@ -152,8 +152,7 @@ void Glm::save(std::ostream& os) const {
 }
 
 Glm Glm::load(std::istream& is) {
-  const int format_version = read_format_version(is, "bf_glm", 1);
-  (void)format_version;
+  read_format_version(is, "bf_glm", 1);
   Glm g;
   int link = 0;
   int log_terms = 0;

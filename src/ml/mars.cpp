@@ -279,8 +279,7 @@ void Mars::save(std::ostream& os) const {
 }
 
 Mars Mars::load(std::istream& is) {
-  const int format_version = read_format_version(is, "bf_mars", 1);
-  (void)format_version;
+  read_format_version(is, "bf_mars", 1);
   Mars m;
   std::size_t n_terms = 0;
   BF_CHECK_MSG(

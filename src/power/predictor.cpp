@@ -64,7 +64,7 @@ void PowerPredictor::save(std::ostream& os) const {
 }
 
 PowerPredictor PowerPredictor::load(std::istream& is) {
-  (void)read_format_version(is, "bf_power", 1);
+  read_format_version(is, "bf_power", 1);
   PowerPredictor p;
   p.psp_ = core::ProblemScalingPredictor::load(is);
   BF_CHECK_MSG(p.psp_.response() == profiling::kPowerColumn,

@@ -208,14 +208,6 @@ void run_token_rules(const LexedFile& file, const std::string& rel,
              "direct per-row model query bypasses the guard layer (use "
              "ProblemScalingPredictor::predict_guarded / "
              "CounterModels::predict_kind)");
-    } else if (guard_scope && t.text == "predict" && i >= 2 &&
-               toks[i - 1].text == "." &&
-               (toks[i - 2].text == "forest_" ||
-                (i >= 4 && toks[i - 2].text == ")" &&
-                 toks[i - 3].text == "(" && toks[i - 4].text == "forest"))) {
-      report(t.line, "guarded-predict",
-             "direct forest prediction bypasses the guard layer (use "
-             "ProblemScalingPredictor::predict_guarded)");
     } else if ((guard_scope || serve_scope) &&
                (t.text == "predict_time" || t.text == "predict_power") &&
                i >= 1 &&

@@ -37,7 +37,7 @@ void quarantine(const std::string& path) {
 
 std::string payload_to_string(const ModelBundle& bundle) {
   std::ostringstream os;
-  os << "bf_bundle_meta 1\n";
+  os << "bf_bundle_meta 2\n";
   os << "name " << tokenize_field(bundle.meta.name) << "\n";
   os << "workload " << tokenize_field(bundle.meta.workload) << "\n";
   os << "arch " << tokenize_field(bundle.meta.arch) << "\n";
@@ -48,32 +48,22 @@ std::string payload_to_string(const ModelBundle& bundle) {
   os << "schema " << bundle.meta.schema.size();
   for (const auto& name : bundle.meta.schema) os << ' ' << name;
   os << "\n";
-  if (!bundle.meta.probes.empty()) {
-    // Golden-probe record: additive, written only when present, so v2
-    // bundles without probes stay byte-identical to the previous writer.
-    os.precision(17);
-    os << "probes " << bundle.meta.probes.size();
-    for (const auto& p : bundle.meta.probes) {
-      os << ' ' << p.size << ' ' << p.predicted_ms;
-    }
-    os << "\n";
+  os.precision(17);
+  os << "probes " << bundle.meta.probes.size();
+  for (const auto& p : bundle.meta.probes) {
+    os << ' ' << p.size << ' ' << p.predicted_ms;
   }
+  os << "\n";
   bundle.predictor.save(os);
-  if (bundle.power.has_value()) {
-    // Optional power record (the v3 addition): written only when present,
-    // so bundles exported without --power stay byte-identical to the v2
-    // writer's payload.
-    os << "power\n";
-    bundle.power->save(os);
-  }
+  os << "power " << (bundle.power.has_value() ? 1 : 0) << "\n";
+  if (bundle.power.has_value()) bundle.power->save(os);
   return os.str();
 }
 
 ModelBundle payload_from_string(const std::string& payload,
                                 const std::string& origin) {
   std::istringstream is(payload);
-  const int format_version = read_format_version(is, "bf_bundle_meta", 1);
-  (void)format_version;
+  read_format_version(is, "bf_bundle_meta", 2);
   ModelBundle bundle;
   std::string tag;
   is >> tag >> bundle.meta.name;
@@ -103,49 +93,35 @@ ModelBundle payload_from_string(const std::string& payload,
     is >> name;
     BF_CHECK_MSG(is, origin << ": truncated bundle schema");
   }
-  // Optional golden-probe record (older bundles stop at the schema line;
-  // peek the tag and rewind when the predictor record starts directly).
-  const std::istringstream::pos_type before_probes = is.tellg();
-  if (is >> tag && tag == "probes") {
-    std::size_t n_probes = 0;
-    is >> n_probes;
-    BF_CHECK_MSG(is && n_probes <= 10'000,
-                 origin << ": bad bundle meta (probes)");
-    bundle.meta.probes.resize(n_probes);
-    for (auto& p : bundle.meta.probes) {
-      is >> p.size >> p.predicted_ms;
-      BF_CHECK_MSG(is, origin << ": truncated bundle probes");
-    }
-  } else {
-    is.clear();
-    is.seekg(before_probes);
+  std::size_t n_probes = 0;
+  is >> tag >> n_probes;
+  BF_CHECK_MSG(is && tag == "probes" && n_probes <= 10'000,
+               origin << ": bad bundle meta (probes)");
+  bundle.meta.probes.resize(n_probes);
+  for (auto& p : bundle.meta.probes) {
+    is >> p.size >> p.predicted_ms;
+    BF_CHECK_MSG(is, origin << ": truncated bundle probes");
   }
   bundle.predictor = core::ProblemScalingPredictor::load(is);
   // The schema must describe the model it travels with: retained
   // counters drive the counter chains and the reduced forest inputs.
   BF_CHECK_MSG(bundle.meta.schema == bundle.predictor.retained(),
                origin << ": bundle schema does not match embedded model");
-  // Optional trailing power record (v1/v2 bundles and powerless v3
-  // bundles end at the predictor; peek the tag and rewind otherwise).
-  const std::istringstream::pos_type before_power = is.tellg();
-  if (is >> tag && tag == "power") {
-    bundle.power = bf::power::PowerPredictor::load(is);
-  } else {
-    is.clear();
-    is.seekg(before_power);
-  }
+  int has_power = 0;
+  is >> tag >> has_power;
+  BF_CHECK_MSG(is && tag == "power" && (has_power == 0 || has_power == 1),
+               origin << ": bad bundle power record");
+  if (has_power == 1) bundle.power = bf::power::PowerPredictor::load(is);
   return bundle;
 }
 
-/// Full parse of bundle file content, keeping the on-disk identity
-/// (checksum, format version) the reload layer supervises. The stat
-/// fields of the returned BundleFile are left zero; load_bundle_file
-/// fills them from the filesystem.
+/// Full parse of bundle file content, keeping the payload checksum the
+/// reload layer supervises. The stat fields of the returned BundleFile
+/// are left zero; load_bundle_file fills them from the filesystem.
 BundleFile bundle_file_from_string(const std::string& content,
                                    const std::string& origin) {
   std::istringstream is(content);
-  const int format_version =
-      read_format_version(is, "bfmodel", kBundleFormatVersion);
+  read_format_version(is, "bfmodel", kBundleFormatVersion);
   std::string tag;
   std::size_t payload_size = 0;
   is >> tag >> payload_size;
@@ -172,7 +148,6 @@ BundleFile bundle_file_from_string(const std::string& content,
   BundleFile file;
   file.bundle = payload_from_string(payload, origin);
   file.checksum = got_hex;
-  file.format_version = format_version;
   return file;
 }
 
@@ -275,11 +250,11 @@ bool validate_canary(const ModelBundle& bundle, double rtol,
   std::vector<GoldenProbe> probes = bundle.meta.probes;
   const bool recorded = !probes.empty();
   if (!recorded) {
-    // Pre-probe bundle: synthesize sizes from the training hull and
+    // Probe-less bundle: synthesize sizes from the training hull and
     // check the predictions are well-formed (there is no recorded
     // output to compare against).
     const auto* range = bundle.predictor.hull().range(profiling::kSizeColumn);
-    if (range == nullptr) return true;  // hull-less legacy bundle
+    if (range == nullptr) return true;  // no size column in the hull
     const double lo = std::max(range->lo, 1.0);
     const double hi = std::max(range->hi, lo);
     constexpr int kSynthesized = 3;

@@ -29,15 +29,12 @@
 
 namespace bf::serve {
 
-/// Current writer version of the outer bundle format. Version 2 payloads
-/// embed the forest in its frozen flat inference layout ("bf_model 2" /
-/// "bf_flat_forest 1" records) instead of the pointer-tree dump; version 1
-/// bundles still load — their forest is frozen on load, so either vintage
-/// serves through the same flat hot path. Version 3 adds an *optional*
-/// trailing power record (a bf::power::PowerPredictor trained on the same
-/// sweep); v1/v2 bundles — and v3 bundles exported without --power — load
-/// with no power predictor and predict times bit-identically.
-inline constexpr int kBundleFormatVersion = 3;
+/// Version of the outer bundle format, the only one this build reads or
+/// writes. Every record inside the payload likewise has exactly one
+/// readable version; a bundle written by an older build is rejected (and
+/// quarantined) rather than converted — re-export it with
+/// `bf_analyze --export-model`.
+inline constexpr int kBundleFormatVersion = 4;
 
 /// File suffix of model bundles ("reduce1.bfmodel").
 inline constexpr const char* kBundleSuffix = ".bfmodel";
@@ -65,27 +62,26 @@ struct BundleMeta {
   /// Counter-name schema: the reduced model's predictor columns, in
   /// order. Validated against the embedded forest on load.
   std::vector<std::string> schema;
-  /// Golden-probe record written at export time (additive, v2-compatible:
-  /// bundles written before this record existed load with no probes and
-  /// are canary-checked against hull-synthesized sizes instead).
+  /// Golden-probe record written at export time. A bundle exported
+  /// without probes is canary-checked against hull-synthesized sizes
+  /// instead.
   std::vector<GoldenProbe> probes;
 };
 
 struct ModelBundle {
   BundleMeta meta;
   core::ProblemScalingPredictor predictor;
-  /// Power response predictor (v3 optional record): present only when the
+  /// Power response predictor (optional record): present only when the
   /// exporter embedded one; replies then carry power_w/energy_j fields.
   std::optional<bf::power::PowerPredictor> power;
 };
 
 /// A bundle plus the on-disk identity the hot-reload layer supervises:
-/// payload checksum, outer format version and the stat snapshot used
-/// for cheap staleness detection.
+/// payload checksum and the stat snapshot used for cheap staleness
+/// detection.
 struct BundleFile {
   ModelBundle bundle;
-  std::string checksum;    ///< fnv1a64 hex of the payload
-  int format_version = 0;  ///< outer "bfmodel" header version
+  std::string checksum;  ///< fnv1a64 hex of the payload
   std::uint64_t size_bytes = 0;
   std::int64_t mtime_ns = 0;
 };
@@ -115,7 +111,7 @@ void save_bundle(const std::string& path, const ModelBundle& bundle);
 ModelBundle load_bundle(const std::string& path);
 
 /// load_bundle plus the identity record the registry's reload
-/// supervision needs (checksum, format version, stat snapshot).
+/// supervision needs (checksum, stat snapshot).
 BundleFile load_bundle_file(const std::string& path);
 
 /// Move a rejected bundle to "<path>.quarantined" (the load path does
@@ -136,7 +132,7 @@ bool validate_canary(const ModelBundle& bundle, double rtol,
 /// Convenience: assemble meta + predictor and save. `probe_count` > 0
 /// records that many golden probes (log-spaced across the training
 /// hull) into the bundle for reload-time canary validation. A non-null
-/// `power` predictor is embedded as the v3 optional power record.
+/// `power` predictor is embedded as the optional power record.
 void export_model(const std::string& path, const std::string& name,
                   const std::string& workload, const std::string& arch,
                   std::size_t trained_rows,

@@ -79,7 +79,6 @@ std::shared_ptr<const LoadedModel> ModelRegistry::promote_locked(
   model->bundle = std::move(staged.bundle);
   model->generation = lc.next_generation++;
   model->checksum = std::move(staged.checksum);
-  model->format_version = staged.format_version;
   model->loaded_at = now_utc();
   model->size_bytes = staged.size_bytes;
   model->mtime_ns = staged.mtime_ns;
@@ -157,7 +156,6 @@ std::shared_ptr<const LoadedModel> ModelRegistry::get(
         loaded->bundle = std::move(staged.bundle);
         loaded->generation = lc.next_generation++;
         loaded->checksum = std::move(staged.checksum);
-        loaded->format_version = staged.format_version;
         loaded->loaded_at = now_utc();
         loaded->size_bytes = staged.size_bytes;
         loaded->mtime_ns = staged.mtime_ns;

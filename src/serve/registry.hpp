@@ -50,7 +50,6 @@ struct LoadedModel {
   ModelBundle bundle;
   std::uint64_t generation = 0;  ///< per-name, monotonic, survives eviction
   std::string checksum;          ///< fnv1a64 hex of the bundle payload
-  int format_version = 0;        ///< outer "bfmodel" header version
   std::string loaded_at;         ///< UTC timestamp of the promotion
   std::uint64_t size_bytes = 0;  ///< stat snapshot at load time
   std::int64_t mtime_ns = 0;
@@ -92,7 +91,7 @@ struct ModelInfo {
   std::string loaded_at;
   std::uint64_t rollbacks = 0;
   bool pinned = false;
-  bool power = false;  ///< bundle carries the v3 power record
+  bool power = false;  ///< bundle carries the power record
 };
 
 struct RegistryStats {

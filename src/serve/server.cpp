@@ -77,8 +77,8 @@ struct Server::Computed {
   bool ok = false;
   std::string error;
   guard::PredictionGuardRecord rec{};
-  /// Power response (filled only when the bundle carries the v3 power
-  /// record; powerless replies stay byte-identical to the v2 wire shape).
+  /// Power response (filled only when the bundle carries the power
+  /// record; powerless replies carry no power fields).
   bool has_power = false;
   bf::power::PowerPrediction power{};
   double latency_us = 0.0;

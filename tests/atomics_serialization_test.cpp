@@ -1,19 +1,12 @@
 // Tests for shared-memory atomics (the histogram contention signature)
-// and random-forest serialisation.
+// and engine barrier semantics.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <filesystem>
-#include <sstream>
-
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "gpusim/engine.hpp"
 #include "gpusim/sharedmem.hpp"
 #include "kernels/kernel_base.hpp"
 #include "kernels/misc.hpp"
-#include "ml/forest.hpp"
 #include "profiling/workloads.hpp"
 
 namespace bf {
@@ -106,87 +99,6 @@ TEST(Histogram, InputValidation) {
   EXPECT_THROW(kernels::HistogramKernel(0, 256, 0.0), Error);
   EXPECT_THROW(kernels::HistogramKernel(1024, 1, 0.0), Error);
   EXPECT_THROW(kernels::HistogramKernel(1024, 256, 1.5), Error);
-}
-
-// ---- forest serialisation ----
-
-ml::RandomForest make_forest(std::size_t n_trees = 60) {
-  Rng rng(99);
-  linalg::Matrix x(80, 2);
-  std::vector<double> y(80);
-  for (std::size_t i = 0; i < 80; ++i) {
-    x(i, 0) = rng.uniform(0, 10);
-    x(i, 1) = rng.uniform(0, 10);
-    y[i] = 4.0 * x(i, 0) - x(i, 1) + rng.normal(0, 0.3);
-  }
-  ml::RandomForest rf;
-  ml::ForestParams p;
-  p.n_trees = n_trees;
-  p.seed = 17;
-  rf.fit(x, y, {"alpha", "beta"}, p);
-  return rf;
-}
-
-TEST(ForestSerialization, RoundTripPreservesEverything) {
-  const auto rf = make_forest();
-  std::stringstream ss;
-  rf.save(ss);
-  const auto back = ml::RandomForest::load(ss);
-
-  EXPECT_EQ(back.n_trees(), rf.n_trees());
-  EXPECT_EQ(back.feature_names(), rf.feature_names());
-  EXPECT_DOUBLE_EQ(back.oob_mse(), rf.oob_mse());
-  EXPECT_DOUBLE_EQ(back.pct_var_explained(), rf.pct_var_explained());
-
-  // Predictions identical on a probe grid.
-  for (double a = 0; a <= 10; a += 2.5) {
-    for (double b = 0; b <= 10; b += 2.5) {
-      const double row[2] = {a, b};
-      EXPECT_DOUBLE_EQ(back.predict_row(row), rf.predict_row(row));
-    }
-  }
-  // Importance identical.
-  const auto ia = rf.importance();
-  const auto ib = back.importance();
-  ASSERT_EQ(ia.size(), ib.size());
-  for (std::size_t i = 0; i < ia.size(); ++i) {
-    EXPECT_EQ(ia[i].name, ib[i].name);
-    EXPECT_DOUBLE_EQ(ia[i].pct_inc_mse, ib[i].pct_inc_mse);
-  }
-  // Partial dependence (needs the retained training data) identical.
-  const auto pa = rf.partial_dependence("alpha", 8);
-  const auto pb = back.partial_dependence("alpha", 8);
-  for (std::size_t g = 0; g < pa.size(); ++g) {
-    EXPECT_DOUBLE_EQ(pa[g].y, pb[g].y);
-  }
-}
-
-TEST(ForestSerialization, FileRoundTrip) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("bf_forest_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-  const std::string path = (dir / "model.bf").string();
-  const auto rf = make_forest(20);
-  rf.save_file(path);
-  const auto back = ml::RandomForest::load_file(path);
-  const double row[2] = {3.0, 7.0};
-  EXPECT_DOUBLE_EQ(back.predict_row(row), rf.predict_row(row));
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ForestSerialization, MalformedInputRejected) {
-  std::stringstream empty;
-  EXPECT_THROW(ml::RandomForest::load(empty), Error);
-  std::stringstream wrong("bf_forest 2\n");
-  EXPECT_THROW(ml::RandomForest::load(wrong), Error);
-  std::stringstream truncated("bf_forest 1\nfeatures 2 a b\n");
-  EXPECT_THROW(ml::RandomForest::load(truncated), Error);
-}
-
-TEST(ForestSerialization, UnfittedSaveRejected) {
-  ml::RandomForest rf;
-  std::stringstream ss;
-  EXPECT_THROW(rf.save(ss), Error);
 }
 
 // ---- engine barrier semantics under mismatched sync counts ----

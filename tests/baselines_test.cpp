@@ -8,7 +8,8 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "ml/forest.hpp"
+#include "forest_reference.hpp"
+#include "ml/flat_forest.hpp"
 #include "ml/metrics.hpp"
 #include "ml/model_pool.hpp"
 #include "ml/stepwise.hpp"
@@ -192,10 +193,10 @@ TEST(ForestIntervals, BandContainsMeanAndOrdersCorrectly) {
   rf.fit(x, y, {"s", "n"}, params);
 
   const double row[2] = {5.0, 5.0};
-  const auto interval = rf.predict_interval(row, 0.1);
+  const auto interval = FlatForest::freeze(rf).predict_interval(row, 0.1);
   EXPECT_LE(interval.lo, interval.mean);
   EXPECT_GE(interval.hi, interval.mean);
-  EXPECT_NEAR(interval.mean, rf.predict_row(row), 1e-9);
+  EXPECT_EQ(interval.mean, reference_predict(rf, row));
   EXPECT_GT(interval.hi - interval.lo, 0.0);
 }
 
@@ -212,8 +213,9 @@ TEST(ForestIntervals, WiderAlphaGivesNarrowerBand) {
   params.n_trees = 200;
   rf.fit(x, y, {"x"}, params);
   const double row[1] = {5.0};
-  const auto narrow = rf.predict_interval(row, 0.5);   // 50% band
-  const auto wide = rf.predict_interval(row, 0.05);    // 95% band
+  const auto flat = FlatForest::freeze(rf);
+  const auto narrow = flat.predict_interval(row, 0.5);  // 50% band
+  const auto wide = flat.predict_interval(row, 0.05);   // 95% band
   EXPECT_LE(narrow.hi - narrow.lo, wide.hi - wide.lo);
 }
 
@@ -230,14 +232,15 @@ TEST(ForestIntervals, PartialDependenceWithBand) {
   ForestParams params;
   params.n_trees = 120;
   rf.fit(x, y, {"s", "noise"}, params);
-  const auto curve = rf.partial_dependence_interval("s", 10, 0.1);
+  const auto flat = FlatForest::freeze(rf);
+  const auto curve = flat.partial_dependence_interval(x, "s", 10, 0.1);
   ASSERT_EQ(curve.size(), 10u);
   for (const auto& p : curve) {
     EXPECT_LE(p.y.lo, p.y.mean + 1e-9);
     EXPECT_GE(p.y.hi, p.y.mean - 1e-9);
   }
   // The band's means must match the plain partial dependence curve.
-  const auto plain = rf.partial_dependence("s", 10);
+  const auto plain = flat.partial_dependence(x, "s", 10);
   for (std::size_t g = 0; g < curve.size(); ++g) {
     EXPECT_NEAR(curve[g].y.mean, plain[g].y, 1e-9);
     EXPECT_NEAR(curve[g].x, plain[g].x, 1e-12);
@@ -257,8 +260,9 @@ TEST(ForestIntervals, InvalidAlphaRejected) {
   params.n_trees = 10;
   rf.fit(x, y, {"x"}, params);
   const double row[1] = {5.0};
-  EXPECT_THROW(rf.predict_interval(row, 0.0), Error);
-  EXPECT_THROW(rf.predict_interval(row, 1.0), Error);
+  const auto flat = FlatForest::freeze(rf);
+  EXPECT_THROW(flat.predict_interval(row, 0.0), Error);
+  EXPECT_THROW(flat.predict_interval(row, 1.0), Error);
 }
 
 }  // namespace

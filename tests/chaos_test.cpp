@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,10 +25,11 @@
 #include "gpusim/arch.hpp"
 #include "guard/guard.hpp"
 #include "ml/dataset.hpp"
-#include "ml/forest.hpp"
+#include "ml/flat_forest.hpp"
 #include "profiling/repository.hpp"
 #include "profiling/sweep.hpp"
 #include "profiling/workloads.hpp"
+#include "forest_reference.hpp"
 #include "net_test_util.hpp"
 #include "serve/artifact.hpp"
 #include "serve/json.hpp"
@@ -498,15 +500,18 @@ TEST_F(Chaos, ForestNanFeatureFaultIsRepairedWithTrainingMedian) {
   params.seed = 7;
   rf.fit(x, y, {"a", "b"}, params);
 
-  const std::vector<double> query = {50.0, 4.0};
-  const double clean = rf.predict_row(query.data());
+  const auto flat = ml::FlatForest::freeze(rf);
 
-  std::vector<double> median_query = query;
-  median_query[0] = rf.feature_medians()[0];
-  const double repaired_reference = rf.predict_row(median_query.data());
+  const std::vector<double> query = {50.0, 4.0};
+  const double clean = flat.predict_row(query.data());
+
+  std::vector<double> nan_query = query;
+  nan_query[0] = std::numeric_limits<double>::quiet_NaN();
+  const double repaired_reference =
+      ml::reference_predict(rf, nan_query.data());
 
   fault::configure("ml.forest.nan_feature:1.0");
-  const double faulted = rf.predict_row(query.data());
+  const double faulted = flat.predict_row(query.data());
   fault::reset();
 
   EXPECT_EQ(faulted, repaired_reference);

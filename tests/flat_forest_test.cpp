@@ -1,11 +1,13 @@
 // Bit-identity suite for the flat inference engine: every prediction a
-// FlatForest makes — single row, batched, interval, NaN-repaired,
-// fault-corrupted, reloaded from disk — must equal the pointer forest's
-// output EXACTLY (EXPECT_EQ on doubles, not a tolerance). The freeze is
-// a pure re-layout; any drift means the stepping kernel or the tree-order
-// accumulation diverged from RandomForest.
+// FlatForest makes — single row, batched, interval, partial dependence,
+// NaN-repaired, fault-corrupted, reloaded from disk — must equal the
+// test-local reference walk of the training trees (forest_reference.hpp)
+// EXACTLY (EXPECT_EQ on doubles, not a tolerance). The freeze is a pure
+// re-layout; any drift means the stepping kernel or the tree-order
+// accumulation diverged.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -15,6 +17,7 @@
 #include "common/fault.hpp"
 #include "common/rng.hpp"
 #include "core/model.hpp"
+#include "forest_reference.hpp"
 #include "ml/flat_forest.hpp"
 #include "ml/forest.hpp"
 
@@ -66,43 +69,29 @@ linalg::Matrix make_probes(std::uint64_t seed, std::size_t n = 64) {
   return x;
 }
 
-TEST(FlatForest, LayoutNamesRoundTrip) {
-  EXPECT_STREQ(tree_layout_name(TreeLayout::kDepthFirst), "df");
-  EXPECT_STREQ(tree_layout_name(TreeLayout::kBreadthFirst), "bf");
-  EXPECT_EQ(tree_layout_from_name("df"), TreeLayout::kDepthFirst);
-  EXPECT_EQ(tree_layout_from_name("bf"), TreeLayout::kBreadthFirst);
-  EXPECT_THROW(tree_layout_from_name("zz"), Error);
-}
-
 TEST(FlatForest, FreezePreservesShape) {
   const auto rf = fit_forest(1);
-  for (const auto layout : {TreeLayout::kDepthFirst,
-                            TreeLayout::kBreadthFirst}) {
-    const auto flat = FlatForest::freeze(rf, layout);
-    EXPECT_TRUE(flat.fitted());
-    EXPECT_EQ(flat.layout(), layout);
-    EXPECT_EQ(flat.n_trees(), 60u);
-    EXPECT_EQ(flat.feature_names(), kNames);
-    std::size_t pointer_nodes = 0;
-    for (std::size_t t = 0; t < rf.n_trees(); ++t) {
-      pointer_nodes += rf.tree(t).node_count();
-    }
-    EXPECT_EQ(flat.node_count(), pointer_nodes);
+  const auto flat = FlatForest::freeze(rf);
+  EXPECT_TRUE(flat.fitted());
+  EXPECT_EQ(flat.n_trees(), 60u);
+  EXPECT_EQ(flat.feature_names(), kNames);
+  EXPECT_EQ(flat.feature_medians(), rf.feature_medians());
+  std::size_t tree_nodes = 0;
+  for (std::size_t t = 0; t < rf.n_trees(); ++t) {
+    tree_nodes += rf.tree(t).node_count();
   }
+  EXPECT_EQ(flat.node_count(), tree_nodes);
 }
 
-TEST(FlatForest, PredictRowBitIdenticalBothLayouts) {
+TEST(FlatForest, PredictRowBitIdentical) {
   const auto rf = fit_forest(2);
   const auto probes = make_probes(12);
-  for (const auto layout : {TreeLayout::kDepthFirst,
-                            TreeLayout::kBreadthFirst}) {
-    const auto flat = FlatForest::freeze(rf, layout);
-    ForestScratch scratch;
-    for (std::size_t i = 0; i < probes.rows(); ++i) {
-      const double want = rf.predict_row(probes.row_ptr(i));
-      EXPECT_EQ(flat.predict_row(probes.row_ptr(i), scratch), want);
-      EXPECT_EQ(flat.predict_row(probes.row_ptr(i)), want);
-    }
+  const auto flat = FlatForest::freeze(rf);
+  ForestScratch scratch;
+  for (std::size_t i = 0; i < probes.rows(); ++i) {
+    const double want = reference_predict(rf, probes.row_ptr(i));
+    EXPECT_EQ(flat.predict_row(probes.row_ptr(i), scratch), want);
+    EXPECT_EQ(flat.predict_row(probes.row_ptr(i)), want);
   }
 }
 
@@ -110,88 +99,123 @@ TEST(FlatForest, BatchedPredictMatchesRowPath) {
   const auto rf = fit_forest(3);
   const auto probes = make_probes(13, 37);  // odd count: exercises the
                                             // partial trailing block
-  const auto want = rf.predict(probes);
-  for (const auto layout : {TreeLayout::kDepthFirst,
-                            TreeLayout::kBreadthFirst}) {
-    const auto flat = FlatForest::freeze(rf, layout);
-    const auto got = flat.predict(probes);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i], want[i]) << "row " << i;
-    }
+  const auto want = reference_predict(rf, probes);
+  const auto got = FlatForest::freeze(rf).predict(probes);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "row " << i;
   }
 }
 
 TEST(FlatForest, IntervalsBitIdenticalAcrossAlphas) {
   const auto rf = fit_forest(4);
   const auto probes = make_probes(14, 16);
-  const auto flat = FlatForest::freeze(rf, TreeLayout::kBreadthFirst);
+  const auto flat = FlatForest::freeze(rf);
   ForestScratch scratch;
   for (const double alpha : {0.02, 0.1, 0.5}) {
+    const auto got_batch = flat.predict_intervals(probes, alpha);
+    ASSERT_EQ(got_batch.size(), probes.rows());
     for (std::size_t i = 0; i < probes.rows(); ++i) {
-      const auto want = rf.predict_interval(probes.row_ptr(i), alpha);
+      const auto want = reference_interval(rf, probes.row_ptr(i), alpha);
       const auto got = flat.predict_interval(probes.row_ptr(i), alpha,
                                              scratch);
       EXPECT_EQ(got.mean, want.mean);
       EXPECT_EQ(got.lo, want.lo);
       EXPECT_EQ(got.hi, want.hi);
-    }
-    const auto want_batch = rf.predict_intervals(probes, alpha);
-    const auto got_batch = flat.predict_intervals(probes, alpha);
-    ASSERT_EQ(got_batch.size(), want_batch.size());
-    for (std::size_t i = 0; i < want_batch.size(); ++i) {
-      EXPECT_EQ(got_batch[i].mean, want_batch[i].mean);
-      EXPECT_EQ(got_batch[i].lo, want_batch[i].lo);
-      EXPECT_EQ(got_batch[i].hi, want_batch[i].hi);
+      EXPECT_EQ(got_batch[i].mean, want.mean);
+      EXPECT_EQ(got_batch[i].lo, want.lo);
+      EXPECT_EQ(got_batch[i].hi, want.hi);
     }
   }
+}
+
+TEST(FlatForest, PartialDependenceMatchesReference) {
+  const auto data = make_synthetic(50, 15);
+  ForestParams p;
+  p.n_trees = 30;
+  p.seed = 15;
+  p.importance = false;
+  RandomForest rf;
+  rf.fit(data.x, data.y, kNames, p);
+  const auto flat = FlatForest::freeze(rf);
+  const std::size_t n = data.x.rows();
+  const auto plain = flat.partial_dependence(data.x, "b", 7);
+  const auto banded = flat.partial_dependence_interval(data.x, "b", 7, 0.2);
+  ASSERT_EQ(plain.size(), 7u);
+  ASSERT_EQ(banded.size(), 7u);
+  linalg::Matrix clamped = data.x;
+  for (std::size_t g = 0; g < plain.size(); ++g) {
+    // Plain: the reference prediction averaged over the clamped rows in
+    // row order. Banded: per tree, the leaf average over the same rows.
+    double acc = 0.0;
+    std::vector<double> per_tree(rf.n_trees(), 0.0);
+    for (std::size_t r = 0; r < n; ++r) {
+      clamped(r, 1) = plain[g].x;
+      acc += reference_predict(rf, clamped.row_ptr(r));
+      const auto values = reference_tree_values(rf, clamped.row_ptr(r));
+      for (std::size_t t = 0; t < rf.n_trees(); ++t) per_tree[t] += values[t];
+    }
+    for (auto& v : per_tree) v /= static_cast<double>(n);
+    std::sort(per_tree.begin(), per_tree.end());
+    double mean = 0.0;
+    for (const double v : per_tree) mean += v;
+    const auto want = reference_band(per_tree,
+                                     mean / static_cast<double>(rf.n_trees()),
+                                     0.2);
+    EXPECT_EQ(plain[g].y, acc / static_cast<double>(n));
+    EXPECT_EQ(banded[g].x, plain[g].x);
+    EXPECT_EQ(banded[g].y.mean, want.mean);
+    EXPECT_EQ(banded[g].y.lo, want.lo);
+    EXPECT_EQ(banded[g].y.hi, want.hi);
+  }
+  EXPECT_THROW(flat.partial_dependence(data.x, "zzz"), Error);
+  EXPECT_THROW(flat.partial_dependence(data.x, "b", 1), Error);
+  EXPECT_THROW(flat.partial_dependence_interval(linalg::Matrix(0, 4), "b"),
+               Error);
 }
 
 TEST(FlatForest, NanRowRepairedWithSameMedians) {
   const auto rf = fit_forest(5);
   const auto flat = FlatForest::freeze(rf);
   const double all_nan[4] = {kNaN, kNaN, kNaN, kNaN};
-  EXPECT_EQ(flat.predict_row(all_nan), rf.predict_row(all_nan));
+  EXPECT_EQ(flat.predict_row(all_nan), reference_predict(rf, all_nan));
   const double inf_row[4] = {1.0, std::numeric_limits<double>::infinity(),
                              -2.0, -std::numeric_limits<double>::infinity()};
-  EXPECT_EQ(flat.predict_row(inf_row), rf.predict_row(inf_row));
+  EXPECT_EQ(flat.predict_row(inf_row), reference_predict(rf, inf_row));
 }
 
-TEST(FlatForest, NanFaultCorruptsBothPathsIdentically) {
+TEST(FlatForest, NanFaultIsRepairedLikeADroppedFeature) {
   const auto rf = fit_forest(6);
   const auto flat = FlatForest::freeze(rf);
   const double row[4] = {0.5, -1.5, 2.5, -3.5};
-  // The fault fires once per predict call on its own deterministic RNG
-  // stream; at rate 1.0 both engines see the identical corruption.
+  // At rate 1.0 the fault turns feature 0 into NaN on every predict
+  // call; the repair must match the reference for a genuinely NaN cell.
+  const double nan_row[4] = {kNaN, -1.5, 2.5, -3.5};
   fault::arm(fault::points::kForestNanFeature, 1.0);
-  const double want = rf.predict_row(row);
   const double got = flat.predict_row(row);
   fault::reset();
-  EXPECT_EQ(got, want);
+  EXPECT_EQ(got, reference_predict(rf, nan_row));
   // The corrupted prediction must differ from the clean one (the fault
-  // really replaced feature 0), and both clean paths must still agree.
+  // really replaced feature 0), and the clean path must still agree.
   EXPECT_NE(flat.predict_row(row), got);
-  EXPECT_EQ(flat.predict_row(row), rf.predict_row(row));
+  EXPECT_EQ(flat.predict_row(row), reference_predict(rf, row));
 }
 
 TEST(FlatForest, SaveLoadRoundTripExact) {
   const auto rf = fit_forest(7);
   const auto probes = make_probes(17, 24);
-  for (const auto layout : {TreeLayout::kDepthFirst,
-                            TreeLayout::kBreadthFirst}) {
-    const auto flat = FlatForest::freeze(rf, layout);
-    std::stringstream ss;
-    flat.save(ss);
-    const auto loaded = FlatForest::load(ss);
-    EXPECT_EQ(loaded.layout(), layout);
-    EXPECT_EQ(loaded.n_trees(), flat.n_trees());
-    EXPECT_EQ(loaded.node_count(), flat.node_count());
-    EXPECT_EQ(loaded.feature_names(), flat.feature_names());
-    EXPECT_EQ(loaded.feature_medians(), flat.feature_medians());
-    for (std::size_t i = 0; i < probes.rows(); ++i) {
-      EXPECT_EQ(loaded.predict_row(probes.row_ptr(i)),
-                flat.predict_row(probes.row_ptr(i)));
-    }
+  const auto flat = FlatForest::freeze(rf);
+  std::stringstream ss;
+  flat.save(ss);
+  EXPECT_EQ(ss.str().rfind("bf_flat_forest 2\nfeatures ", 0), 0u);
+  const auto loaded = FlatForest::load(ss);
+  EXPECT_EQ(loaded.n_trees(), flat.n_trees());
+  EXPECT_EQ(loaded.node_count(), flat.node_count());
+  EXPECT_EQ(loaded.feature_names(), flat.feature_names());
+  EXPECT_EQ(loaded.feature_medians(), flat.feature_medians());
+  for (std::size_t i = 0; i < probes.rows(); ++i) {
+    EXPECT_EQ(loaded.predict_row(probes.row_ptr(i)),
+              flat.predict_row(probes.row_ptr(i)));
   }
 }
 
@@ -221,18 +245,15 @@ TEST(FlatForest, PropertyRandomForestsBitIdentical) {
     RandomForest rf;
     rf.fit(data.x, data.y, kNames, p);
     const auto probes = make_probes(200 + trial, 16);
-    const auto df = FlatForest::freeze(rf, TreeLayout::kDepthFirst);
-    const auto bf = FlatForest::freeze(rf, TreeLayout::kBreadthFirst);
+    const auto flat = FlatForest::freeze(rf);
     ForestScratch scratch;
     for (std::size_t i = 0; i < probes.rows(); ++i) {
-      const double want = rf.predict_row(probes.row_ptr(i));
-      EXPECT_EQ(df.predict_row(probes.row_ptr(i), scratch), want)
+      EXPECT_EQ(flat.predict_row(probes.row_ptr(i), scratch),
+                reference_predict(rf, probes.row_ptr(i)))
           << "trial " << trial << " row " << i;
-      EXPECT_EQ(bf.predict_row(probes.row_ptr(i), scratch), want)
-          << "trial " << trial << " row " << i;
-      const auto want_iv = rf.predict_interval(probes.row_ptr(i), 0.1);
-      const auto got_iv = bf.predict_interval(probes.row_ptr(i), 0.1,
-                                              scratch);
+      const auto want_iv = reference_interval(rf, probes.row_ptr(i), 0.1);
+      const auto got_iv = flat.predict_interval(probes.row_ptr(i), 0.1,
+                                                scratch);
       EXPECT_EQ(got_iv.lo, want_iv.lo);
       EXPECT_EQ(got_iv.hi, want_iv.hi);
     }
@@ -268,7 +289,7 @@ TEST(FlatForestModel, V2SaveLoadPredictsIdentically) {
   model.save(ss);
   EXPECT_EQ(ss.str().substr(0, 10), "bf_model 2");
   const auto loaded = core::BlackForestModel::load(ss);
-  EXPECT_FALSE(loaded.forest().fitted());  // v2 carries the flat form only
+  EXPECT_FALSE(loaded.forest().fitted());  // the record holds the flat form
   EXPECT_TRUE(loaded.flat().fitted());
   const auto probe = model_sweep().drop_columns({"time_ms"});
   const auto want = model.predict(probe);
@@ -280,53 +301,47 @@ TEST(FlatForestModel, V2SaveLoadPredictsIdentically) {
             model.test_explained_variance());
 }
 
-TEST(FlatForestModel, V1StreamFreezesOnLoad) {
-  const auto model = core::BlackForestModel::fit(model_sweep(), fast_model());
-  // Hand-compose the pre-flat record: header, predictors, statistics and
-  // the full pointer-forest dump — exactly what a version-1 exporter
-  // wrote. Loading it must freeze on the spot and predict identically.
-  std::stringstream v1;
-  v1.precision(17);
-  v1 << "bf_model 1\n";
-  v1 << model.predictors().size();
-  for (const auto& p : model.predictors()) v1 << ' ' << p;
-  v1 << "\n";
-  v1 << model.test_mse() << ' ' << model.test_explained_variance() << "\n";
-  model.forest().save(v1);
-  const auto loaded = core::BlackForestModel::load(v1);
-  EXPECT_TRUE(loaded.forest().fitted());  // v1 keeps the pointer trees
-  EXPECT_TRUE(loaded.flat().fitted());
-  const auto probe = model_sweep().drop_columns({"time_ms"});
-  const auto want = model.predict(probe);
-  const auto got = loaded.predict(probe);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]);
+TEST(FlatForestModel, PreviousRecordVersionsAreRejected) {
+  // Hand-written version-1 records: the pointer-forest model dump and
+  // the flat forest with its layout line. Each record reads exactly one
+  // version, and the error names the one it got.
+  const auto expect_rejected = [](const char* magic, std::istream& is,
+                                  auto&& load) {
+    try {
+      load(is);
+      ADD_FAILURE() << magic << " 1 stream loaded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string(magic) +
+                                           " format_version 1"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  std::stringstream model_v1(
+      "bf_model 1\n1 a\n0.5 0.9\nbf_forest 1\nfeatures 1 a\n");
+  expect_rejected("bf_model", model_v1,
+                  [](std::istream& is) { core::BlackForestModel::load(is); });
+  std::stringstream flat_v1(
+      "bf_flat_forest 1\nlayout df\nfeatures 1 a\nmedians 0\n"
+      "roots 1 0\nnodes 1\n-1 0 2.5\n");
+  expect_rejected("bf_flat_forest", flat_v1,
+                  [](std::istream& is) { FlatForest::load(is); });
 }
 
-TEST(FlatForestModel, GuardedIntervalPathMatchesPointerForest) {
+TEST(FlatForestModel, GuardedIntervalPathMatchesReference) {
   const auto model = core::BlackForestModel::fit(model_sweep(), fast_model());
   const auto probes = make_probes(300, 12);
   ForestScratch scratch;
   for (std::size_t i = 0; i < probes.rows(); ++i) {
     // The exact call the guarded predictor hot path makes...
     const auto got = model.predict_interval(probes.row_ptr(i), 0.1, scratch);
-    // ...against the training-side pointer forest it froze from.
-    const auto want = model.forest().predict_interval(probes.row_ptr(i), 0.1);
+    // ...against the reference walk of the training trees it froze from.
+    const auto want = reference_interval(model.forest(), probes.row_ptr(i),
+                                         0.1);
     EXPECT_EQ(got.mean, want.mean);
     EXPECT_EQ(got.lo, want.lo);
     EXPECT_EQ(got.hi, want.hi);
   }
-}
-
-TEST(FlatForestModel, RefreezeIsLayoutInvariant) {
-  auto model = core::BlackForestModel::fit(model_sweep(), fast_model());
-  const auto probe = model_sweep().drop_columns({"time_ms"});
-  const auto want = model.predict(probe);
-  model.refreeze(TreeLayout::kBreadthFirst);
-  EXPECT_EQ(model.flat().layout(), TreeLayout::kBreadthFirst);
-  const auto got = model.predict(probe);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 // Tests for the random-forest regressor: OOB statistics, permutation
-// importance, partial dependence, determinism.
+// importance, partial dependence (on the frozen engine), determinism.
+// Predictions are checked through the test-local reference walk of the
+// training trees.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,6 +9,8 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "forest_reference.hpp"
+#include "ml/flat_forest.hpp"
 #include "ml/forest.hpp"
 #include "ml/metrics.hpp"
 
@@ -42,7 +46,7 @@ TEST(RandomForest, FitsSignalWell) {
   RandomForest rf;
   rf.fit(data.x, data.y, {"signal", "noise"}, fast_params());
   EXPECT_GT(rf.pct_var_explained(), 90.0);
-  const auto pred = rf.predict(data.x);
+  const auto pred = reference_predict(rf, data.x);
   EXPECT_GT(r2(data.y, pred), 0.97);
 }
 
@@ -57,7 +61,7 @@ TEST(RandomForest, PredictionsBoundedByResponseRange) {
   linalg::Matrix probe(1, 2);
   probe(0, 0) = 100.0;  // far outside training range
   probe(0, 1) = -50.0;
-  const double far = rf.predict(probe)[0];
+  const double far = reference_predict(rf, probe.row_ptr(0));
   EXPECT_GE(far, *lo);
   EXPECT_LE(far, *hi);
 }
@@ -117,7 +121,8 @@ TEST(RandomForest, DeterministicForSeed) {
   linalg::Matrix probe(1, 2);
   probe(0, 0) = 3.0;
   probe(0, 1) = 4.0;
-  EXPECT_DOUBLE_EQ(a.predict(probe)[0], b.predict(probe)[0]);
+  EXPECT_DOUBLE_EQ(reference_predict(a, probe.row_ptr(0)),
+                   reference_predict(b, probe.row_ptr(0)));
   EXPECT_DOUBLE_EQ(a.oob_mse(), b.oob_mse());
   const auto ia = a.importance();
   const auto ib = b.importance();
@@ -142,14 +147,16 @@ TEST(RandomForest, ThreadedTrainingMatchesSerial) {
   linalg::Matrix probe(1, 2);
   probe(0, 0) = 5.0;
   probe(0, 1) = 5.0;
-  EXPECT_DOUBLE_EQ(a.predict(probe)[0], b.predict(probe)[0]);
+  EXPECT_DOUBLE_EQ(reference_predict(a, probe.row_ptr(0)),
+                   reference_predict(b, probe.row_ptr(0)));
 }
 
 TEST(RandomForest, PartialDependenceTracksMonotoneSignal) {
   const auto data = make_synthetic(200, 9);
   RandomForest rf;
   rf.fit(data.x, data.y, {"signal", "noise"}, fast_params());
-  const auto curve = rf.partial_dependence("signal", 15);
+  const auto frozen = FlatForest::freeze(rf);
+  const auto curve = frozen.partial_dependence(data.x, "signal", 15);
   ASSERT_EQ(curve.size(), 15u);
   // y rises with the signal: the curve must increase overall.
   EXPECT_GT(curve.back().y, curve.front().y + 10.0);
@@ -157,7 +164,7 @@ TEST(RandomForest, PartialDependenceTracksMonotoneSignal) {
   EXPECT_NEAR(curve.front().x, 0.0, 0.5);
   EXPECT_NEAR(curve.back().x, 10.0, 0.5);
   // Noise has a comparatively flat curve.
-  const auto flat = rf.partial_dependence("noise", 15);
+  const auto flat = frozen.partial_dependence(data.x, "noise", 15);
   const double signal_span =
       std::fabs(curve.back().y - curve.front().y);
   double flat_span = 0.0;
@@ -171,7 +178,8 @@ TEST(RandomForest, PartialDependenceUnknownFeatureThrows) {
   const auto data = make_synthetic(60, 10);
   RandomForest rf;
   rf.fit(data.x, data.y, {"a", "b"}, fast_params());
-  EXPECT_THROW(rf.partial_dependence("zzz"), Error);
+  EXPECT_THROW(FlatForest::freeze(rf).partial_dependence(data.x, "zzz"),
+               Error);
 }
 
 TEST(RandomForest, InputValidation) {
@@ -181,7 +189,7 @@ TEST(RandomForest, InputValidation) {
   EXPECT_THROW(rf.fit(x, y, {"a", "b"}, fast_params()), Error);
   const std::vector<double> y4{1, 2, 3, 4};
   EXPECT_THROW(rf.fit(x, y4, {"a"}, fast_params()), Error);
-  EXPECT_THROW(rf.predict(x), Error);  // unfitted
+  EXPECT_THROW(FlatForest::freeze(rf), Error);  // unfitted
 }
 
 class ForestParamSweep

@@ -9,15 +9,12 @@
 // recomputed table; review the change and paste it over the file.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <cstring>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/io.hpp"
+#include "golden_table.hpp"
 #include "gpusim/arch.hpp"
 #include "gpusim/engine.hpp"
 #include "profiling/workloads.hpp"
@@ -42,13 +39,6 @@ std::vector<double> golden_sizes(const std::string& workload) {
   return {4096, 40000, 1 << 18};  // element-count workloads
 }
 
-std::string bits_hex(double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(v));
-  return to_hex64(bits);
-}
-
 std::string digest(const AggregateResult& agg) {
   std::string text;
   for (std::size_t i = 0; i < gpusim::kNumEvents; ++i) {
@@ -63,27 +53,8 @@ std::string digest(const AggregateResult& agg) {
   return to_hex64(fnv1a64(text));
 }
 
-/// "workload arch size" -> digest, from the committed table.
-std::map<std::string, std::string> load_table() {
-  std::ifstream in(BF_GOLDEN_COUNTERS);
-  EXPECT_TRUE(in) << "cannot open " << BF_GOLDEN_COUNTERS;
-  std::map<std::string, std::string> table;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    std::string workload, arch, size, hash;
-    fields >> workload >> arch >> size >> hash;
-    table[workload + ' ' + arch + ' ' + size] = hash;
-  }
-  return table;
-}
-
 TEST(GoldenCounters, EveryWorkloadArchAndSizeMatchesTable) {
-  const auto table = load_table();
-  std::ostringstream recomputed;
-  std::vector<std::string> mismatches;
-  std::size_t cases = 0;
+  std::vector<std::pair<std::string, std::string>> got;
   for (const char* arch : {"gtx580", "gtx480", "k20m", "k40"}) {
     const Device device(gpusim::arch_by_name(arch));
     for (const auto& w : profiling::all_workloads()) {
@@ -91,20 +62,11 @@ TEST(GoldenCounters, EveryWorkloadArchAndSizeMatchesTable) {
         const std::string key =
             w.name + ' ' + arch + ' ' + std::to_string(
                                             static_cast<long long>(size));
-        const std::string got = digest(w.run(device, size));
-        recomputed << key << ' ' << got << '\n';
-        ++cases;
-        const auto it = table.find(key);
-        if (it == table.end() || it->second != got) mismatches.push_back(key);
+        got.emplace_back(key, digest(w.run(device, size)));
       }
     }
   }
-  EXPECT_EQ(table.size(), cases) << "table rows without a matching case";
-  EXPECT_TRUE(mismatches.empty())
-      << mismatches.size() << " of " << cases
-      << " digests differ, first: " << mismatches.front()
-      << "\nrecomputed table:\n"
-      << recomputed.str();
+  expect_golden_table(BF_GOLDEN_COUNTERS, got);
 }
 
 }  // namespace

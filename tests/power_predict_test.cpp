@@ -1,8 +1,8 @@
 // End-to-end tests for bf::power — the power response riding the whole
 // prediction stack: guarded envelope-clamped predictions on real sweeps,
-// the energy bottleneck ranking, the optional v3 artifact record
-// (round-trip bit-identity, v2 compatibility) and power fields in
-// serving replies.
+// the energy bottleneck ranking, the optional artifact power record
+// (round-trip bit-identity, rejection of older bundles) and power fields
+// in serving replies.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/io.hpp"
 #include "core/predictor.hpp"
 #include "gpusim/arch.hpp"
@@ -146,7 +147,7 @@ const power::PowerPredictor& shared_power() {
   return p;
 }
 
-TEST_F(PowerArtifactTest, V3RoundTripIsBitIdentical) {
+TEST_F(PowerArtifactTest, PoweredRoundTripIsBitIdentical) {
   serve::export_model(bundle_path("pw"), "pw", "reduce1", "gtx580",
                       shared_sweep().num_rows(), shared_time(), 5,
                       &shared_power());
@@ -173,23 +174,27 @@ TEST_F(PowerArtifactTest, V3RoundTripIsBitIdentical) {
   }
 }
 
-TEST_F(PowerArtifactTest, PowerlessBundleLoadsUnderV2Header) {
-  // A bundle exported without the power record must remain readable by
-  // (and byte-compatible with) the v2 vintage: swapping the outer
-  // header version back to 2 parses cleanly and predicts identically.
+TEST_F(PowerArtifactTest, PreviousBundleVersionIsRejected) {
+  // A bundle whose outer header is rewritten to the previous version
+  // (payload and checksum intact) must not load: every bundle record is
+  // readable in exactly one version, and older bundles are re-exported.
   serve::export_model(bundle_path("plain"), "plain", "reduce1", "gtx580",
                       shared_sweep().num_rows(), shared_time());
   auto content = read_file(bundle_path("plain"));
   ASSERT_TRUE(content.has_value());
-  ASSERT_EQ(content->rfind("bfmodel 3\n", 0), 0u);
+  ASSERT_EQ(content->rfind("bfmodel 4\n", 0), 0u);
+  // Powerless bundles state the absence of the power record explicitly.
+  EXPECT_NE(content->find("\npower 0\n"), std::string::npos);
 
-  std::string v2 = *content;
-  v2.replace(0, std::string("bfmodel 3").size(), "bfmodel 2");
-  const serve::ModelBundle loaded = serve::bundle_from_string(v2, "test");
-  EXPECT_FALSE(loaded.power.has_value());
-  for (const double size : {20000.0, 65536.0, 262144.0}) {
-    EXPECT_EQ(shared_time().predict_guarded(size).value,
-              loaded.predictor.predict_guarded(size).value);
+  std::string old = *content;
+  old.replace(0, std::string("bfmodel 4").size(), "bfmodel 3");
+  try {
+    serve::bundle_from_string(old, "test");
+    ADD_FAILURE() << "bfmodel 3 bundle loaded";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("format_version 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("bfmodel 4"), std::string::npos) << what;
   }
 }
 

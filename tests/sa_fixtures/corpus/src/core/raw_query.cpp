@@ -1,16 +1,10 @@
-// Fixture: seeded guarded-predict violations — a per-row model query
-// and a direct forest prediction inside the core layer, both of which
-// must go through the guard layer's supervised entry points.
+// Fixture: a seeded guarded-predict violation — a per-row model query
+// inside the core layer, which must go through the guard layer's
+// supervised entry points.
 struct Model {
   double predict_row(const double* x, int n) const;
-  struct Forest {
-    double predict(const double* x) const;
-  };
-  Forest forest_;
 };
 
 double query(const Model& m, const double* x, int n) {
-  const double a = m.predict_row(x, n);  // seeded: guarded-predict
-  const double b = m.forest_.predict(x);  // seeded: guarded-predict
-  return a + b;
+  return m.predict_row(x, n);  // seeded: guarded-predict
 }

@@ -193,8 +193,7 @@ const Expected kCorpusExpected[] = {
     {"pragma-once", "src/common/missing_pragma.hpp", 1},
     {"unused-suppression", "src/common/unused.cpp", 4},
     {"guarded-predict", "src/core/raw_query.cpp", 5},
-    {"guarded-predict", "src/core/raw_query.cpp", 13},
-    {"guarded-predict", "src/core/raw_query.cpp", 14},
+    {"guarded-predict", "src/core/raw_query.cpp", 9},
     {"guarded-predict", "src/power/raw_power.cpp", 13},
     {"guarded-predict", "src/power/raw_power.cpp", 18},
     {"layer-dag", "src/ml/layered.hpp", 4},

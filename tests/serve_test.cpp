@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -128,13 +129,76 @@ TEST_F(ServeTest, CorruptBundleIsQuarantined) {
   EXPECT_TRUE(std::filesystem::exists(path + ".quarantined"));
 }
 
-TEST_F(ServeTest, BadMagicAndFutureVersionAreRejected) {
+/// The current bundle with its outer header rewritten to `version`
+/// (payload and checksum intact).
+std::string with_header_version(const std::string& content, int version) {
+  const std::string current =
+      "bfmodel " + std::to_string(serve::kBundleFormatVersion) + "\n";
+  EXPECT_EQ(content.rfind(current, 0), 0u);
+  return "bfmodel " + std::to_string(version) + "\n" +
+         content.substr(current.size());
+}
+
+TEST_F(ServeTest, BadMagicAndOtherVersionsAreRejected) {
   EXPECT_THROW(serve::bundle_from_string("bogus 1\n", "t"), Error);
-  EXPECT_THROW(serve::bundle_from_string("bfmodel 2\nbytes 0\n"
-                                         "checksum fnv1a64 cbf29ce484222325\n",
-                                         "t"),
+  // A valid header and checksum over an empty payload.
+  EXPECT_THROW(serve::bundle_from_string(
+                   "bfmodel " + std::to_string(serve::kBundleFormatVersion) +
+                       "\nbytes 0\nchecksum fnv1a64 cbf29ce484222325\n",
+                   "t"),
                Error);
   EXPECT_THROW(serve::bundle_from_string("", "t"), Error);
+  export_named("reduce1");
+  const std::string content = *read_file(bundle_path("reduce1"));
+  EXPECT_NO_THROW(serve::bundle_from_string(content, "t"));
+  // Every past vintage and a future one: exactly one version is read.
+  for (const int version : {1, 2, 3, serve::kBundleFormatVersion + 1}) {
+    EXPECT_THROW(
+        serve::bundle_from_string(with_header_version(content, version), "t"),
+        Error)
+        << "bfmodel " << version;
+  }
+}
+
+TEST_F(ServeTest, PreviousRecordVersionsAreRejected) {
+  // The records nested in a bundle payload read exactly one version too:
+  // a bf_psp 1 stream (no response line) must not parse.
+  std::stringstream ss;
+  trained_predictor().save(ss);
+  const std::string current = "bf_psp 2\nresponse time_ms\n";
+  ASSERT_EQ(ss.str().rfind(current, 0), 0u);
+  std::stringstream v1("bf_psp 1\n" + ss.str().substr(current.size()));
+  try {
+    core::ProblemScalingPredictor::load(v1);
+    ADD_FAILURE() << "bf_psp 1 stream loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("bf_psp format_version 1"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(ServeTest, RegistryQuarantinesPreviousVersionBundle) {
+  // What an operator sees when a bundle from an older build is dropped
+  // into the model directory: the request is answered with
+  // model_unavailable naming both versions, and the file takes the
+  // corrupt-bundle path into quarantine.
+  export_named("old");
+  const std::string path = bundle_path("old");
+  const std::string old = with_header_version(*read_file(path), 3);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << old;
+  serve::ServerOptions options;
+  options.model_dir = dir_.string();
+  serve::Server server(options);
+  const auto reply =
+      serve::parse_json(server.handle_line(R"({"model":"old","size":64})"));
+  EXPECT_FALSE(reply.find("ok")->boolean);
+  EXPECT_EQ(reply.find("code")->str, "model_unavailable");
+  const std::string error = reply.find("error")->str;
+  EXPECT_NE(error.find("format_version 3"), std::string::npos) << error;
+  EXPECT_NE(error.find("bfmodel 4"), std::string::npos) << error;
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_TRUE(std::filesystem::exists(path + ".quarantined"));
 }
 
 TEST_F(ServeTest, TruncatedBundleIsRejected) {

@@ -64,7 +64,6 @@ void usage() {
       "                    energy bottlenecks next to time bottlenecks,\n"
       "                    adds guarded power/energy predictions, and\n"
       "                    --export-model embeds the power predictor\n"
-      "                    (bundle format v3)\n"
       "  --no-power        disable power modelling (the default)\n"
       "  --power-json PATH write the power predictions as JSON\n"
       "  --check           validate counter invariants instead of\n"

@@ -2,9 +2,9 @@
 // inference engines.
 //
 // Trains a paper-config forest (85 trees by default) on a profiled
-// sweep, freezes it into both flat layouts, then measures single-row
-// and batched prediction throughput for the pointer-tree baseline and
-// the flat engine:
+// sweep, freezes it, then measures single-row and batched prediction
+// throughput of the flat engine against a pointer-tree baseline that
+// walks the training trees one after another:
 //
 //   bf_bench --workload reduce1 --trees 85 --out BENCH_predict.json
 //
@@ -16,11 +16,13 @@
 // trajectory artifact (the serving counterpart is BENCH_serve.json).
 // With --compare PREV it re-reads a previous report and warns — warns,
 // never fails, machines differ — when any engine's rows/sec regressed
-// by more than 20%. With --min-speedup X the process exits non-zero
-// unless the best flat layout reaches X× the pointer single-row
-// baseline (the CI smoke gate uses a conservative value).
+// by more than 20%, or when an engine is missing from it. With
+// --min-speedup X the process exits non-zero unless the best flat
+// engine reaches X× the pointer single-row baseline (the CI smoke gate
+// uses a conservative value).
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -62,10 +64,11 @@ void usage() {
       "  --dump-csv FILE   dump the profiled training sweep to FILE\n"
       "  --rows N          probe rows per measured pass (default 4096)\n"
       "  --reps N          measured passes per engine (default 20)\n"
-      "  --min-speedup X   fail unless best flat layout reaches X x the\n"
+      "  --min-speedup X   fail unless best flat engine reaches X x the\n"
       "                    pointer single-row baseline (default 0 = off)\n"
       "  --out FILE        report path (default BENCH_predict.json)\n"
       "  --compare FILE    previous report; warn on >20%% rows/sec drops\n"
+      "                    and on engines missing from it\n"
       "  --version         print the build identity and exit\n");
 }
 
@@ -201,7 +204,7 @@ void check_identical(const std::vector<double>& want,
 }
 
 /// Pull "rows_per_sec" for `engine` out of a previous report. Returns 0
-/// when the engine (or the file) is absent — the comparison is advisory.
+/// when the engine is absent.
 double previous_rows_per_sec(const std::string& report,
                              const std::string& engine) {
   const std::string tag = "\"name\":\"" + engine + "\"";
@@ -259,11 +262,8 @@ int main(int argc, char** argv) {
     opt.forest.n_trees = args.trees;
     opt.forest.importance = false;  // training cost, not inference cost
     const auto model = core::BlackForestModel::fit(ds, opt);
-    const ml::RandomForest& pointer = model.forest();
-    const auto flat_df =
-        ml::FlatForest::freeze(pointer, ml::TreeLayout::kDepthFirst);
-    const auto flat_bf =
-        ml::FlatForest::freeze(pointer, ml::TreeLayout::kBreadthFirst);
+    const ml::RandomForest& forest = model.forest();
+    const ml::FlatForest& flat = model.flat();
 
     // ---- probe matrix: training predictor rows cycled to --rows ----
     const ml::Dataset predictors_ds =
@@ -279,82 +279,76 @@ int main(int argc, char** argv) {
     std::printf(
         "bf_bench: %zu trees, %zu flat nodes (%s sweep: %zu rows, %zu "
         "predictors), %zu probe rows x %zu reps\n",
-        pointer.n_trees(), flat_df.node_count(), args.workload.c_str(),
+        forest.n_trees(), flat.node_count(), args.workload.c_str(),
         src_rows, p, args.rows, args.reps);
 
+    // The baseline repairs non-finite features with the training medians
+    // and walks the training trees one after another, summing their
+    // leaves in tree order: the arithmetic the flat engine must
+    // reproduce, at the per-tree pointer-chasing cost it removes.
+    const std::vector<double>& medians = forest.feature_medians();
+    std::vector<double> repaired(medians.size());
+    const auto pointer_row = [&](const double* row) {
+      for (std::size_t f = 0; f < medians.size(); ++f) {
+        if (std::isfinite(row[f])) continue;
+        if (row != repaired.data()) {
+          std::copy(row, row + medians.size(), repaired.begin());
+          row = repaired.data();
+        }
+        repaired[f] = medians[f];
+      }
+      double acc = 0.0;
+      for (std::size_t t = 0; t < forest.n_trees(); ++t) {
+        acc += forest.tree(t).predict_row(row);  // bf-lint: allow(guarded-predict)
+      }
+      return acc / static_cast<double>(forest.n_trees());
+    };
+    ml::ForestScratch scratch;
+    const auto flat_row = [&](const double* row) {
+      return flat.predict_row(row, scratch);  // bf-lint: allow(guarded-predict)
+    };
+
     // ---- bit-identity gate before any timing ----
-    // The pointer walk is training-side code; calling it here is the
-    // whole point of a baseline.
     std::vector<double> want(args.rows);
+    std::vector<double> got(args.rows);
     for (std::size_t i = 0; i < args.rows; ++i) {
-      want[i] = pointer.predict_row(probes.row_ptr(i));  // bf-lint: allow(guarded-predict)
+      want[i] = pointer_row(probes.row_ptr(i));
+      got[i] = flat_row(probes.row_ptr(i));
     }
-    check_identical(want, flat_df.predict(probes), "flat_df");
-    check_identical(want, flat_bf.predict(probes), "flat_bf");
-    {
-      ml::ForestScratch s;
-      std::vector<double> got(args.rows);
-      for (std::size_t i = 0; i < args.rows; ++i) {
-        got[i] = flat_df.predict_row(probes.row_ptr(i), s);  // bf-lint: allow(guarded-predict)
-      }
-      check_identical(want, got, "flat_df_single");
-      for (std::size_t i = 0; i < args.rows; ++i) {
-        got[i] = flat_bf.predict_row(probes.row_ptr(i), s);  // bf-lint: allow(guarded-predict)
-      }
-      check_identical(want, got, "flat_bf_single");
-    }
-    std::printf("bf_bench: bit-identity check passed (%zu rows, 4 engines)\n",
+    check_identical(want, got, "flat_single");
+    check_identical(want, flat.predict(probes), "flat_batch");
+    std::printf("bf_bench: bit-identity check passed (%zu rows, 2 engines)\n",
                 args.rows);
 
     // ---- measurements ----
     std::vector<EngineResult> results;
     volatile double sink = 0.0;  // keep the optimizer honest
-
-    results.push_back(measure(
-        "pointer_single", args.rows, args.reps, [&](std::vector<double>& ns) {
-          for (std::size_t i = 0; i < args.rows; ++i) {
-            const auto t0 = Clock::now();
-            sink = pointer.predict_row(probes.row_ptr(i));  // bf-lint: allow(guarded-predict)
-            ns.push_back(std::chrono::duration<double, std::nano>(
-                             Clock::now() - t0)
-                             .count());
-          }
-        }));
-    const double base = results[0].rows_per_sec;
-
-    ml::ForestScratch scratch;
-    const auto single_pass = [&](const ml::FlatForest& flat) {
+    const auto single_pass = [&](const auto& predict_one) {
       return [&](std::vector<double>& ns) {
         for (std::size_t i = 0; i < args.rows; ++i) {
           const auto t0 = Clock::now();
-          sink = flat.predict_row(probes.row_ptr(i), scratch);  // bf-lint: allow(guarded-predict)
+          sink = predict_one(probes.row_ptr(i));
           ns.push_back(
               std::chrono::duration<double, std::nano>(Clock::now() - t0)
                   .count());
         }
       };
     };
-    results.push_back(
-        measure("flat_df_single", args.rows, args.reps, single_pass(flat_df)));
-    results.push_back(
-        measure("flat_bf_single", args.rows, args.reps, single_pass(flat_bf)));
-
-    std::vector<double> out_batch(args.rows);
-    const auto batch_pass = [&](const ml::FlatForest& flat) {
-      return [&](std::vector<double>& ns) {
-        const auto t0 = Clock::now();
-        flat.predict(probes, out_batch, scratch);
-        ns.push_back(std::chrono::duration<double, std::nano>(Clock::now() -
-                                                              t0)
-                         .count() /
-                     static_cast<double>(args.rows));
-        sink = out_batch[0];
-      };
-    };
-    results.push_back(
-        measure("flat_df_batch", args.rows, args.reps, batch_pass(flat_df)));
-    results.push_back(
-        measure("flat_bf_batch", args.rows, args.reps, batch_pass(flat_bf)));
+    results.push_back(measure("pointer_single", args.rows, args.reps,
+                              single_pass(pointer_row)));
+    const double base = results[0].rows_per_sec;
+    results.push_back(measure("flat_single", args.rows, args.reps,
+                              single_pass(flat_row)));
+    results.push_back(measure(
+        "flat_batch", args.rows, args.reps, [&](std::vector<double>& ns) {
+          const auto t0 = Clock::now();
+          flat.predict(probes, got, scratch);
+          ns.push_back(
+              std::chrono::duration<double, std::nano>(Clock::now() - t0)
+                  .count() /
+              static_cast<double>(args.rows));
+          sink = got[0];
+        }));
     (void)sink;
 
     double best_flat = 0.0;
@@ -378,8 +372,8 @@ int main(int argc, char** argv) {
     os.precision(10);
     os << "{\"bench\":\"predict\",\"schema_version\":1,\"workload\":\""
        << args.workload << "\",\"arch\":\"" << args.arch
-       << "\",\"trees\":" << pointer.n_trees()
-       << ",\"flat_nodes\":" << flat_df.node_count()
+       << "\",\"trees\":" << forest.n_trees()
+       << ",\"flat_nodes\":" << flat.node_count()
        << ",\"predictors\":" << p << ",\"train_rows\":" << src_rows
        << ",\"probe_rows\":" << args.rows << ",\"reps\":" << args.reps
        << ",\"bit_identical\":true,\"best_engine\":\"" << best_name
@@ -405,7 +399,13 @@ int main(int argc, char** argv) {
       } else {
         for (const auto& r : results) {
           const double before = previous_rows_per_sec(*prev, r.name);
-          if (before <= 0.0) continue;
+          if (before <= 0.0) {
+            std::printf(
+                "bf_bench: WARNING: engine %s is missing from %s, so it "
+                "was not compared\n",
+                r.name.c_str(), args.compare_path.c_str());
+            continue;
+          }
           const double ratio = r.rows_per_sec / before;
           if (ratio < 0.8) {
             std::printf(
