@@ -119,7 +119,7 @@ int main() {
   for (const double n : xs) {
     const double measured =
         profiler.profile(workload, device, n).time_ms;
-    const double forest_pred = ps.predict_time(n);
+    const double forest_pred = ps.predict_guarded(n).value;
     // Assemble the pool's feature row from the counter models.
     std::vector<double> row(predictors.size(), 0.0);
     const auto predicted_counters = cms.predict({n});

@@ -44,8 +44,8 @@ int main() {
   std::printf("%-8s %-12s %-12s %-10s %-12s %s\n", "n", "t_cpu(ms)",
               "t_gpu(ms)", "cpu share", "t_split(ms)", "speedup vs GPU");
   for (const double n : {128.0, 256.0, 512.0, 768.0, 1024.0}) {
-    const double t_cpu = cpu_pred.predict_time(n);
-    const double t_gpu = gpu_pred.predict_time(n);
+    const double t_cpu = cpu_pred.predict_guarded(n).value;
+    const double t_gpu = gpu_pred.predict_guarded(n).value;
     const double f_cpu = t_gpu / (t_cpu + t_gpu);
     const double t_split = std::max(f_cpu * t_cpu, (1.0 - f_cpu) * t_gpu);
     std::printf("%-8.0f %-12.4f %-12.4f %-10.3f %-12.4f %.2fx\n", n, t_cpu,

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   // training means), so predictions at the extreme edges degrade.
   for (const double n : {112.0, 208.0, 416.0, 608.0, 800.0, 928.0}) {
     if (n > max_n) continue;
-    const double predicted = predictor.predict_time(n);
+    const double predicted = predictor.predict_guarded(n).value;
     const double measured = profiler.profile(workload, device, n).time_ms;
     std::printf("%-8.0f %-14.4f %-14.4f %+.1f%%\n", n, predicted, measured,
                 100.0 * (predicted - measured) / measured);

@@ -25,12 +25,12 @@ void atomic_write_file(const std::string& path, std::string_view content);
 std::optional<std::string> read_file(const std::string& path);
 
 /// Read a "<magic> <version>" header from a serialized stream and
-/// validate both fields. Every serialized-struct reader must call this
+/// validate both fields. Every serialized-struct reader calls this
 /// before parsing any field, so that a changed format is rejected
-/// instead of silently misinterpreted — enforced by the bf_lint
-/// `artifact-version` rule. Each record has exactly one readable
-/// version: throws bf::Error on a magic mismatch or any version other
-/// than `version`.
+/// instead of silently misinterpreted (a serve test bumps each record
+/// header of an exported bundle and expects this function's message).
+/// Each record has exactly one readable version: throws bf::Error on a
+/// magic mismatch or any version other than `version`.
 void read_format_version(std::istream& is, const char* magic, int version);
 
 /// FNV-1a 64-bit hash — the repository's content checksum.

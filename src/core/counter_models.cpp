@@ -122,7 +122,7 @@ CounterModels CounterModels::fit(const ml::Dataset& ds,
   const linalg::Matrix x = transform_inputs(raw_x, options.log_inputs);
 
   for (const auto& counter : counters) {
-    // The inputs themselves need no model; predict_features copies them.
+    // The inputs themselves need no model: callers already hold them.
     if (std::find(options.inputs.begin(), options.inputs.end(), counter) !=
         options.inputs.end()) {
       continue;
@@ -252,8 +252,7 @@ CounterModels CounterModels::fit(const ml::Dataset& ds,
                 for (std::size_t i = 0; i < pred.size(); ++i) {
                   std::vector<double> row(qx.cols());
                   for (std::size_t j = 0; j < qx.cols(); ++j) row[j] = qx(i, j);
-                  pred[i] = m.predict_row(  // bf-lint: allow(guarded-predict)
-                      row.data(), row.size());
+                  pred[i] = m.predict_row(row.data(), row.size());
                 }
               } else {
                 ml::GlmParams gp = options.glm;
@@ -267,8 +266,7 @@ CounterModels CounterModels::fit(const ml::Dataset& ds,
                 for (std::size_t i = 0; i < pred.size(); ++i) {
                   std::vector<double> row(qx.cols());
                   for (std::size_t j = 0; j < qx.cols(); ++j) row[j] = qx(i, j);
-                  pred[i] = g.predict_row(  // bf-lint: allow(guarded-predict)
-                      row.data(), row.size());
+                  pred[i] = g.predict_row(row.data(), row.size());
                 }
               }
               if (log_resp) {
@@ -337,13 +335,13 @@ double CounterModels::predict_entry_kind(const Entry& entry,
       for (double& u : scratch) u = log_input(u);
     }
     if (kind == CounterModelKind::kMars) {
-      v = entry.mars.predict_row(scratch.data(), scratch.size());  // bf-lint: allow(guarded-predict)
+      v = entry.mars.predict_row(scratch.data(), scratch.size());
     } else if (kind == CounterModelKind::kLogLinear) {
       BF_CHECK_MSG(entry.has_fallbacks,
                    "log-linear fallback was not fit for " << entry.counter);
-      v = entry.loglin.predict_row(scratch.data(), scratch.size());  // bf-lint: allow(guarded-predict)
+      v = entry.loglin.predict_row(scratch.data(), scratch.size());
     } else {
-      v = entry.glm.predict_row(scratch.data(), scratch.size());  // bf-lint: allow(guarded-predict)
+      v = entry.glm.predict_row(scratch.data(), scratch.size());
     }
     if (entry.log_response) v = std::exp2(std::clamp(v, -60.0, 60.0));
   }
@@ -405,29 +403,6 @@ std::vector<std::pair<std::string, double>> CounterModels::predict(
     out.emplace_back(entry.counter, predict_entry(entry, inputs, scratch));
   }
   return out;
-}
-
-ml::Dataset CounterModels::predict_features(
-    const std::vector<double>& sizes) const {
-  BF_CHECK_MSG(inputs_.size() == 1,
-               "predict_features requires a single-input model");
-  ml::Dataset ds;
-  ds.add_column(inputs_[0], sizes);
-  // One reused input cell and log-transform scratch across the whole
-  // size x counter grid — this is the serving hot path (every
-  // predict_time call lands here), so it must not allocate per size.
-  double in[1];
-  std::vector<double> scratch;
-  for (const auto& entry : entries_) {
-    std::vector<double> col;
-    col.reserve(sizes.size());
-    for (const double s : sizes) {
-      in[0] = s;
-      col.push_back(predict_entry(entry, std::span<const double>(in), scratch));
-    }
-    ds.add_column(entry.counter, std::move(col));
-  }
-  return ds;
 }
 
 double CounterModels::average_r2() const {

@@ -90,10 +90,6 @@ class CounterModels {
   std::vector<std::pair<std::string, double>> predict(
       const std::vector<double>& inputs) const;
 
-  /// Predict a full feature dataset over a vector of problem sizes
-  /// (single-input convenience; includes the input column itself).
-  ml::Dataset predict_features(const std::vector<double>& sizes) const;
-
   /// Predict counter `entry` with one specific model from its chain
   /// (the guard layer's demotion primitive). When `negative_clamped` is
   /// non-null it reports whether the raw model output was negative

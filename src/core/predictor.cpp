@@ -103,12 +103,10 @@ ProblemScalingPredictor ProblemScalingPredictor::build(
 
   CounterModelOptions cm = options.counter_models;
   cm.inputs = {profiling::kSizeColumn};
+  cm.fit_fallback_chain = true;
+  cm.cv_folds = options.guard.cv_folds;
   p.guard_ = options.guard;
   p.arch_ = options.arch;
-  if (p.guard_.enabled) {
-    cm.fit_fallback_chain = true;
-    cm.cv_folds = options.guard.cv_folds;
-  }
   p.counters_ = CounterModels::fit(p.full_.train_data(), p.retained_, cm);
 
   // Guard fit-time state: the training hull over every retained feature
@@ -131,12 +129,6 @@ ProblemScalingPredictor ProblemScalingPredictor::build(
         profiling::Monotonicity::kNonDecreasing);
   }
   return p;
-}
-
-double ProblemScalingPredictor::predict_time(double size) const {
-  // Generate the retained counters at this size, then query the forest.
-  ml::Dataset features = counters_.predict_features({size});
-  return reduced_.predict(features)[0];
 }
 
 guard::PredictionGuardRecord ProblemScalingPredictor::predict_guarded(
@@ -274,7 +266,7 @@ guard::PredictionGuardRecord ProblemScalingPredictor::predict_guarded(
 
 guard::GuardReport ProblemScalingPredictor::guard_report() const {
   guard::GuardReport report;
-  report.enabled = guard_.enabled;
+  report.enabled = true;
   report.options = guard_;
   report.hull = hull_.ranges();
   for (const auto& info : counters_.info()) {
@@ -298,11 +290,6 @@ PredictionSeries ProblemScalingPredictor::validate(
                "sizes/measured length mismatch");
   std::vector<double> predicted;
   predicted.reserve(sizes.size());
-  if (!guard_.enabled) {
-    // Legacy unguarded path, bit for bit.
-    for (const double s : sizes) predicted.push_back(predict_time(s));
-    return score_series(sizes, measured_ms, std::move(predicted));
-  }
   std::vector<guard::PredictionGuardRecord> recs;
   recs.reserve(sizes.size());
   for (const double s : sizes) {
@@ -366,9 +353,11 @@ ProblemScalingPredictor ProblemScalingPredictor::load(std::istream& is) {
     BF_CHECK_MSG(static_cast<bool>(is >> name),
                  "bf_psp: truncated retained list");
   }
+  // One envelope per modelled counter: the retained list bounds the
+  // count before anything is allocated for it.
   std::size_t n_env = 0;
   BF_CHECK_MSG(static_cast<bool>(is >> tag >> n_env >> p.max_train_size_) &&
-                   tag == "envelope",
+                   tag == "envelope" && n_env <= n_retained,
                "bf_psp: malformed envelope header");
   p.train_max_.resize(n_env);
   p.train_at_max_size_.resize(n_env);
@@ -493,23 +482,21 @@ HardwareScalingResult HardwareScalingPredictor::predict(
                             split.test.column(profiling::kTimeColumn),
                             predicted);
 
-  if (options.guard.enabled) {
-    // Annotate (never alter) the test predictions: hull membership of
-    // each test row w.r.t. the calibrated training set, plus per-tree
-    // spread grading. Cross-architecture prediction is exactly where the
-    // model silently leaves its domain (paper §6.2's NW divergence).
-    const guard::DomainGuard hull = guard::DomainGuard::build(
-        train, model.predictors(), options.guard.margin);
-    const linalg::Matrix xm = split.test.to_matrix(model.predictors());
-    const auto intervals = model.predict_intervals(xm);
-    out.series.guard.enabled = true;
-    out.series.guard.options = options.guard;
-    out.series.guard.hull = hull.ranges();
-    const auto& test_sizes = out.series.sizes;
-    for (std::size_t r = 0; r < intervals.size(); ++r) {
-      out.series.guard.predictions.push_back(grade_forest_row(
-          hull, split.test, r, test_sizes[r], intervals[r], options.guard));
-    }
+  // Annotate (never alter) the test predictions: hull membership of each
+  // test row w.r.t. the calibrated training set, plus per-tree spread
+  // grading. Cross-architecture prediction is exactly where the model
+  // silently leaves its domain (paper §6.2's NW divergence).
+  const guard::DomainGuard hull = guard::DomainGuard::build(
+      train, model.predictors(), options.guard.margin);
+  const linalg::Matrix xm = split.test.to_matrix(model.predictors());
+  const auto intervals = model.predict_intervals(xm);
+  out.series.guard.enabled = true;
+  out.series.guard.options = options.guard;
+  out.series.guard.hull = hull.ranges();
+  const auto& test_sizes = out.series.sizes;
+  for (std::size_t r = 0; r < intervals.size(); ++r) {
+    out.series.guard.predictions.push_back(grade_forest_row(
+        hull, split.test, r, test_sizes[r], intervals[r], options.guard));
   }
   return out;
 }

@@ -35,7 +35,7 @@ struct PredictionSeries {
   double mse = 0.0;
   double explained_variance = 0.0;  ///< 1 - mse / var(measured)
   double median_abs_pct_error = 0.0;
-  /// Model-health self-description (empty/disabled on the legacy path).
+  /// Model-health self-description of the predictions.
   bf::guard::GuardReport guard;
   /// Second-response rows filled by bf::power when power analysis is on:
   /// predicted average board power and derived energy per size (empty
@@ -53,9 +53,8 @@ struct ProblemScalingOptions {
   std::size_t top_k = 6;  ///< retained variables (paper: "between 6 and 8")
   ModelOptions model;
   CounterModelOptions counter_models;
-  /// Model-health supervision (hull checks, fallback chains, physical
-  /// caps, confidence grades). guard.enabled = false restores the legacy
-  /// unguarded path bit for bit.
+  /// Model-health supervision thresholds (hull margin, fallback-chain
+  /// demotion, physical caps, confidence grades).
   bf::guard::GuardOptions guard;
   /// Architecture whose physical limits cap predicted counters; without
   /// it only architecture-independent caps (ratio metrics <= 1) apply.
@@ -76,22 +75,20 @@ class ProblemScalingPredictor {
                                        const ProblemScalingOptions& options =
                                            {});
 
-  /// Predict the response for one unseen problem size (legacy unguarded
-  /// path; see predict_guarded for the supervised one). Named for the
-  /// classic time response; a predictor built with another response
-  /// column (e.g. profiling::kPowerColumn) returns that response.
-  double predict_time(double size) const;
-
   /// Response column this predictor models ("time_ms" by default).
   const std::string& response() const { return response_; }
 
-  /// Guarded prediction: hull check, counter-chain demotion, physical
-  /// caps, per-tree interval and confidence grade. With no guard tripped
-  /// the returned value is bit-identical to predict_time.
+  /// Predict the response for one unseen problem size: generate the
+  /// retained counters (demoting down each fallback chain when a model
+  /// leaves its sanity envelope), check the training hull, apply the
+  /// physical caps, then query the reduced forest for the value, its
+  /// per-tree interval and a confidence grade. A predictor built with
+  /// another response column (e.g. profiling::kPowerColumn) returns that
+  /// response.
   bf::guard::PredictionGuardRecord predict_guarded(double size) const;
 
-  /// Predict a series and score it against measured times. When the
-  /// guard is enabled the series carries a filled GuardReport.
+  /// Predict a series and score it against measured times; the series
+  /// carries a filled GuardReport.
   PredictionSeries validate(const std::vector<double>& sizes,
                             const std::vector<double>& measured_ms) const;
 

@@ -203,23 +203,21 @@ DomainGuard DomainGuard::load(std::istream& is) {
 
 void save_options(std::ostream& os, const GuardOptions& options) {
   os.precision(17);
-  os << "bf_guard_options 1\n";
-  os << (options.enabled ? 1 : 0) << ' ' << options.margin << ' '
-     << options.far << ' ' << options.interval_b << ' ' << options.interval_c
-     << ' ' << options.demote_slack << ' ' << options.monotone_floor << ' '
-     << options.cap_tolerance << ' ' << options.cv_folds << "\n";
+  os << "bf_guard_options 2\n";
+  os << options.margin << ' ' << options.far << ' ' << options.interval_b
+     << ' ' << options.interval_c << ' ' << options.demote_slack << ' '
+     << options.monotone_floor << ' ' << options.cap_tolerance << ' '
+     << options.cv_folds << "\n";
 }
 
 GuardOptions load_options(std::istream& is) {
-  read_format_version(is, "bf_guard_options", 1);
+  read_format_version(is, "bf_guard_options", 2);
   GuardOptions o;
-  int enabled = 0;
-  BF_CHECK_MSG(static_cast<bool>(is >> enabled >> o.margin >> o.far >>
-                                 o.interval_b >> o.interval_c >>
-                                 o.demote_slack >> o.monotone_floor >>
-                                 o.cap_tolerance >> o.cv_folds),
+  BF_CHECK_MSG(static_cast<bool>(is >> o.margin >> o.far >> o.interval_b >>
+                                 o.interval_c >> o.demote_slack >>
+                                 o.monotone_floor >> o.cap_tolerance >>
+                                 o.cv_folds),
                "malformed bf_guard_options record");
-  o.enabled = enabled != 0;
   return o;
 }
 

@@ -43,8 +43,6 @@ char grade_letter(Grade g);
 Grade worse(Grade a, Grade b);
 
 struct GuardOptions {
-  /// Master switch. Off = the legacy unguarded path, bit for bit.
-  bool enabled = true;
   /// Hull slack as a fraction of the per-feature training span; queries
   /// within [lo - margin*span, hi + margin*span] are not flagged.
   double margin = 0.1;

@@ -470,10 +470,12 @@ FlatForest FlatForest::load(std::istream& is) {
                    n_nodes_hdr <= static_cast<std::size_t>(
                                       std::numeric_limits<std::int32_t>::max()),
                "bf_flat_forest: malformed nodes header");
-  ff.nodes_.resize(n_nodes_hdr);
+  // Nodes are appended as they parse rather than pre-sized to the header
+  // count, so a forged count fails on the truncated table instead of
+  // allocating for nodes that are not there.
   const auto n_nodes = static_cast<std::int32_t>(n_nodes_hdr);
   for (std::size_t i = 0; i < n_nodes_hdr; ++i) {
-    FlatNode& node = ff.nodes_[i];
+    FlatNode node;
     BF_CHECK_MSG(
         static_cast<bool>(is >> node.left >> node.feature >> node.tv),
         "bf_flat_forest: truncated node table");
@@ -486,6 +488,7 @@ FlatForest FlatForest::load(std::istream& is) {
     BF_CHECK_MSG(node.feature >= 0 &&
                      static_cast<std::size_t>(node.feature) < p,
                  "bf_flat_forest: node feature out of range");
+    ff.nodes_.push_back(node);
   }
   for (const std::int32_t r : ff.roots_) {
     BF_CHECK_MSG(r >= 0 && r < n_nodes,

@@ -32,13 +32,6 @@ PowerPredictor PowerPredictor::build(const ml::Dataset& sweep,
   return p;
 }
 
-double PowerPredictor::predict_power(double size) const {
-  // The wrapped psp models the power response, so its scalar query
-  // returns watts, not milliseconds. This IS the unguarded entry point
-  // the lint rule polices; predict_guarded wraps it with the envelope.
-  return psp_.predict_time(size);  // bf-lint: allow(guarded-predict)
-}
-
 PowerPrediction PowerPredictor::predict_guarded(double size) const {
   PowerPrediction out;
   out.size = size;

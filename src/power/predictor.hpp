@@ -57,10 +57,6 @@ class PowerPredictor {
   static PowerPredictor build(const ml::Dataset& sweep,
                               const PowerPredictorOptions& options = {});
 
-  /// Unguarded scalar power query (the legacy-style raw exit; serving
-  /// and tools should use predict_guarded).
-  double predict_power(double size) const;
-
   /// Guarded power prediction: counter-chain demotion, hull check,
   /// board-envelope clamp ([idle_w, tdp_w]) and A/B/C grade.
   PowerPrediction predict_guarded(double size) const;

@@ -6,8 +6,8 @@
 namespace bf::sa {
 namespace {
 
-// Documentation order: the migrated legacy nine, then the include-graph
-// family, then the concurrency family, then the meta rules the
+// Documentation order: the migrated legacy token rules, then the
+// include-graph family, then the concurrency family, then the meta rules the
 // framework itself emits.
 const std::vector<RuleSpec> kRegistry = {
     {"pragma-once", Severity::kError, "headers must contain #pragma once"},
@@ -24,15 +24,6 @@ const std::vector<RuleSpec> kRegistry = {
     {"atomic-write", Severity::kError,
      "direct ofstream in the repository layer tears entries on crash "
      "(use bf::atomic_write_file)"},
-    {"guarded-predict", Severity::kError,
-     "direct model query in core/power/tools bypasses the guard layer"},
-    {"flat-predict", Severity::kError,
-     "serve-layer per-row tree walk bypasses the flat inference engine"},
-    {"registry-swap", Severity::kError,
-     "serve-layer raw model pointer can dangle across a hot-reload swap "
-     "(pin the generation with a shared_ptr)"},
-    {"artifact-version", Severity::kError,
-     "serialized-struct reader must check the format version first"},
     {"include-cycle", Severity::kError,
      "#include cycle between project headers"},
     {"layer-dag", Severity::kError,
@@ -110,7 +101,6 @@ void run_token_rules(const LexedFile& file, const std::string& rel,
   };
 
   const bool is_header = ends_with(rel, ".hpp");
-  const bool is_source = ends_with(rel, ".cpp");
 
   const std::vector<Token>& toks = file.tokens;
 
@@ -139,23 +129,6 @@ void run_token_rules(const LexedFile& file, const std::string& rel,
       rel.find("/profiling/") != std::string::npos ||
       rel.find("src/profiling/") == 0 ||
       filename.find("repository") != std::string::npos;
-
-  // Prediction consumers (the core pipeline and the CLI tools) must go
-  // through the guard layer's supervised entry points; the few audited
-  // raw-query exits carry explicit allow() suppressions.
-  const bool guard_scope = rel.find("/core/") != std::string::npos ||
-                           rel.find("src/core/") == 0 ||
-                           rel.find("/power/") != std::string::npos ||
-                           rel.find("src/power/") == 0 ||
-                           rel.find("/tools/") != std::string::npos ||
-                           rel.find("tools/") == 0;
-
-  // The serving hot path predicts through the frozen flat engine
-  // (ml::FlatForest via the bundle's predictor); a pointer-tree
-  // predict_row in serve code reintroduces the per-node cache-miss walk
-  // the freeze exists to eliminate.
-  const bool serve_scope = rel.find("/serve/") != std::string::npos ||
-                           rel.find("src/serve/") == 0;
 
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const Token& t = toks[i];
@@ -187,68 +160,6 @@ void run_token_rules(const LexedFile& file, const std::string& rel,
       report(t.line, "atomic-write",
              "direct ofstream write in the repository layer can tear "
              "entries on crash (use bf::atomic_write_file)");
-    } else if (serve_scope && t.text == "predict_row") {
-      report(t.line, "flat-predict",
-             "per-row tree walk in the serving layer (route predictions "
-             "through the frozen ml::FlatForest engine)");
-    } else if (serve_scope &&
-               (t.text == "ModelBundle" || t.text == "LoadedModel" ||
-                t.text == "BundleModel") &&
-               i + 1 < toks.size() && toks[i + 1].text == "*") {
-      // Hot reload swaps generations under readers; a raw pointer held
-      // across a batch boundary dangles the moment the old generation's
-      // last shared_ptr drops. Only shared_ptr pins are allowed.
-      report(t.line, "registry-swap",
-             "raw " + t.text +
-                 "* in the serving layer can dangle across a hot-reload "
-                 "swap (pin the generation with "
-                 "std::shared_ptr<const LoadedModel>)");
-    } else if (guard_scope && t.text == "predict_row") {
-      report(t.line, "guarded-predict",
-             "direct per-row model query bypasses the guard layer (use "
-             "ProblemScalingPredictor::predict_guarded / "
-             "CounterModels::predict_kind)");
-    } else if ((guard_scope || serve_scope) &&
-               (t.text == "predict_time" || t.text == "predict_power") &&
-               i >= 1 &&
-               (toks[i - 1].text == "." || toks[i - 1].text == "->")) {
-      // The legacy unguarded scalar entry points: a member call drops
-      // hull checks, physical caps and the A/B/C grade. Declarations and
-      // definitions (no member-access prefix) stay clean; the deliberate
-      // --no-guard exits carry allow() suppressions.
-      report(t.line, "guarded-predict",
-             "unguarded '" + t.text +
-                 "' call drops hull checks, physical caps and grades "
-                 "(use predict_guarded)");
-    } else if (is_source && t.text == "load" && i + 1 < toks.size() &&
-               toks[i + 1].text == "(") {
-      // A reader definition: `load(` with an istream parameter close by
-      // (declarations live in headers, call sites pass a value, so only
-      // .cpp definitions match). The function must consult the format
-      // version before parsing any field.
-      bool is_reader = false;
-      for (std::size_t j = i + 2; j < toks.size() && j <= i + 6; ++j) {
-        if (toks[j].text == "istream") {
-          is_reader = true;
-          break;
-        }
-      }
-      if (is_reader) {
-        bool versioned = false;
-        for (std::size_t j = i; j < toks.size() && j <= i + 200; ++j) {
-          if (toks[j].text == "read_format_version" ||
-              toks[j].text == "format_version") {
-            versioned = true;
-            break;
-          }
-        }
-        if (!versioned) {
-          report(t.line, "artifact-version",
-                 "serialized-struct reader does not check the format "
-                 "version before parsing (call bf::read_format_version "
-                 "first)");
-        }
-      }
     }
   }
 }

@@ -3,9 +3,10 @@
 // Every rule the analyzer can emit is declared here with a stable id,
 // a severity and a one-line summary; drivers use the registry for
 // --help style listings and the test suite asserts the fixture corpus
-// trips every registered rule. The nine legacy bf_lint regex rules live
-// on as token-based passes over the shared lexer (see run_token_rules),
-// so string/comment false-positive handling happens exactly once.
+// trips every registered rule. The seven per-file rules inherited from
+// the legacy regex linter run as token-based passes over the shared
+// lexer (see run_token_rules), so string/comment false-positive handling
+// happens exactly once.
 #pragma once
 
 #include <vector>
@@ -31,11 +32,11 @@ bool is_known_rule(const std::string& id);
 /// emitted, but the lookup must totalise).
 Severity rule_severity(const std::string& id);
 
-/// Run the per-file token rules (the migrated legacy nine) over one
+/// Run the per-file token rules (the migrated legacy seven) over one
 /// lexed file, appending raw findings (suppressions/baseline are
 /// applied later by the analyzer). `repo_relative` is the normalized
-/// path used for scope decisions (profiling layer, core/tools guard
-/// scope) and for the finding's file field.
+/// path used for scope decisions (the profiling layer) and for the
+/// finding's file field.
 void run_token_rules(const LexedFile& file, const std::string& repo_relative,
                      std::vector<Finding>& out);
 

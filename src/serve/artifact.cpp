@@ -136,11 +136,14 @@ BundleFile bundle_file_from_string(const std::string& content,
   // Exactly one newline separates the header from the payload; anything
   // else would shift the byte count and is corruption.
   BF_CHECK_MSG(is.get() == '\n', origin << ": bad bundle header framing");
-  std::string payload(payload_size, '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(payload_size));
-  BF_CHECK_MSG(is.gcount() == static_cast<std::streamsize>(payload_size),
+  // The byte count is checked against the content already in memory
+  // before it sizes anything: a forged count must fail, not allocate.
+  const auto header_end = static_cast<std::size_t>(is.tellg());
+  const std::size_t available = content.size() - header_end;
+  BF_CHECK_MSG(payload_size <= available,
                origin << ": truncated bundle payload (want " << payload_size
-                      << " bytes, got " << is.gcount() << ")");
+                      << " bytes, got " << available << ")");
+  const std::string payload = content.substr(header_end, payload_size);
   const std::string got_hex = to_hex64(fnv1a64(payload));
   BF_CHECK_MSG(got_hex == want_hex,
                origin << ": bundle checksum mismatch (stored " << want_hex

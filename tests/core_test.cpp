@@ -204,17 +204,20 @@ TEST(CounterModels, SaturatingCounterViaMars) {
   EXPECT_GT(models.info()[0].r2, 0.98);
 }
 
-TEST(CounterModels, PredictFeaturesSchema) {
+TEST(CounterModels, PredictSchema) {
   const auto& ds = matmul_sweep();
   const auto models =
       CounterModels::fit(ds, {"gst_request", "gld_request", kSizeColumn});
-  const auto features = models.predict_features({64, 128});
-  EXPECT_EQ(features.num_rows(), 2u);
-  EXPECT_TRUE(features.has_column(kSizeColumn));
-  EXPECT_TRUE(features.has_column("gst_request"));
+  const auto at64 = models.predict({64});
+  const auto at128 = models.predict({128});
+  // One (counter, value) pair per modelled counter, in fit order; the
+  // size input needs no model and is not echoed back.
+  ASSERT_EQ(at64.size(), 2u);
+  ASSERT_EQ(at128.size(), 2u);
+  EXPECT_EQ(at64[0].first, "gst_request");
+  EXPECT_EQ(at64[1].first, "gld_request");
   // gst_request for MM is (n/16)^2 blocks * 8 warps: quadratic growth.
-  EXPECT_GT(features.at(1, "gst_request"),
-            3.0 * features.at(0, "gst_request"));
+  EXPECT_GT(at128[0].second, 3.0 * at64[0].second);
 }
 
 TEST(CounterModels, InfoQualityOnRealSweep) {

@@ -34,10 +34,9 @@ done
 
 # One finding per seeded rule.
 for rule in pragma-once raw-new raw-delete no-rand float-literal \
-            unchecked-parse atomic-write guarded-predict artifact-version \
-            include-cycle layer-dag duplicate-include capture-escape \
-            mutable-global lock-order unused-suppression flat-predict \
-            registry-swap; do
+            unchecked-parse atomic-write include-cycle layer-dag \
+            duplicate-include capture-escape mutable-global lock-order \
+            unused-suppression; do
   grep -q "\"rule\": \"$rule\"" "$JSON" || {
     echo "seeded rule missing from JSON: $rule"; exit 1; }
 done

@@ -176,8 +176,9 @@ struct Expected {
 };
 
 // The complete expected finding set for the fixture corpus. The legacy
-// regex linter's nine rules are all represented (migration parity: the
-// token engine reproduces each of them), plus the new pass families.
+// regex linter's seven surviving rules are all represented (migration
+// parity: the token engine reproduces each of them), plus the new pass
+// families.
 const Expected kCorpusExpected[] = {
     {"raw-new", "src/common/banned.cpp", 7},
     {"raw-delete", "src/common/banned.cpp", 12},
@@ -192,18 +193,8 @@ const Expected kCorpusExpected[] = {
     {"lock-order", "src/common/locks.cpp", 18},
     {"pragma-once", "src/common/missing_pragma.hpp", 1},
     {"unused-suppression", "src/common/unused.cpp", 4},
-    {"guarded-predict", "src/core/raw_query.cpp", 5},
-    {"guarded-predict", "src/core/raw_query.cpp", 9},
-    {"guarded-predict", "src/power/raw_power.cpp", 13},
-    {"guarded-predict", "src/power/raw_power.cpp", 18},
     {"layer-dag", "src/ml/layered.hpp", 4},
-    {"artifact-version", "src/ml/reader.cpp", 9},
     {"atomic-write", "src/profiling/torn.cpp", 6},
-    {"flat-predict", "src/serve/hot_path.cpp", 5},
-    {"flat-predict", "src/serve/hot_path.cpp", 9},
-    {"registry-swap", "src/serve/pinned.cpp", 9},
-    {"registry-swap", "src/serve/pinned.cpp", 10},
-    {"guarded-predict", "src/serve/unguarded_reply.cpp", 9},
 };
 
 TEST(SaCorpus, EverySeededViolationIsFoundAtItsLine) {
@@ -238,12 +229,12 @@ TEST(SaCorpus, NoFalsePositivesBeyondTheSeededSet) {
 }
 
 TEST(SaCorpus, LegacyRegexRulesAllMigrated) {
-  // Migration parity: every rule the 358-line regex linter implemented
-  // appears in the corpus findings from the token-based engine.
+  // Migration parity: every rule of the 358-line regex linter that is
+  // still registered appears in the corpus findings from the token-based
+  // engine.
   const std::set<std::string> legacy = {
-      "pragma-once",     "raw-new",        "raw-delete",
-      "no-rand",         "float-literal",  "unchecked-parse",
-      "atomic-write",    "guarded-predict", "artifact-version"};
+      "pragma-once",   "raw-new",         "raw-delete",  "no-rand",
+      "float-literal", "unchecked-parse", "atomic-write"};
   const auto report = analyze_corpus();
   std::set<std::string> seen;
   for (const auto& f : report.findings) seen.insert(f.rule);
@@ -254,13 +245,10 @@ TEST(SaCorpus, LegacyRegexRulesAllMigrated) {
 
 TEST(SaCorpus, SuppressionAccountingCountsTheAuditedAllow) {
   // locks.cpp carries one used suppression (mutable-global on
-  // shared_value), hot_path.cpp one more (flat-predict on the audited
-  // exit) and raw_power.cpp a third (guarded-predict on the audited
-  // unguarded scalar query); unused.cpp carries one unused one
-  // (reported).
+  // shared_value); unused.cpp carries one unused one (reported).
   const auto report = analyze_corpus();
-  EXPECT_EQ(report.stats.suppressed, 3u);
-  EXPECT_EQ(report.stats.files_scanned, 19u);
+  EXPECT_EQ(report.stats.suppressed, 1u);
+  EXPECT_EQ(report.stats.files_scanned, 13u);
 }
 
 // ---------------------------------------------------------------------------
@@ -559,6 +547,7 @@ TEST(SaRules, RegistryCoversEveryCorpusRuleAndRejectsUnknown) {
     EXPECT_TRUE(bf::sa::is_known_rule(f.rule)) << f.rule;
   }
   EXPECT_FALSE(bf::sa::is_known_rule("no-such-rule"));
+  EXPECT_EQ(bf::sa::rule_registry().size(), 17u);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #!/bin/sh
-# End-to-end power serving test: export one bundle with the v3 power
-# record (--power --export-model) and one without, then drive bf_serve
-# and check that replies carry power_w/energy_j/power_grade exactly when
-# the bundle does, and that stats advertises the record. Run by ctest as
+# End-to-end power serving test: export one bundle with the optional
+# power record (--power --export-model) and one without, then drive
+# bf_serve and check that replies carry power_w/energy_j/power_grade
+# exactly when the bundle does, and that stats advertises the record;
+# finally answer from the powered bundle with --from-model --power-json
+# and check the power report file. Run by ctest as
 #   serve_power_e2e.sh <bf_analyze> <bf_serve>
 set -eu
 
@@ -53,7 +55,7 @@ case "$(line 2)" in
   *) fail "powerless reply is not a good prediction: $(line 2)" ;;
 esac
 
-# Stats: the registry advertises which bundle carries the v3 record.
+# Stats: the registry advertises which bundle carries the power record.
 case "$(line 3)" in
   *'"name":"powered"'*'"power":true'*) ;;
   *) fail "stats does not flag the powered bundle: $(line 3)" ;;
@@ -62,5 +64,17 @@ case "$(line 3)" in
   *'"name":"plain"'*'"power":false'*) ;;
   *) fail "stats does not flag the plain bundle: $(line 3)" ;;
 esac
+
+# --- the trained-once path writes the same power report as training ---
+"$BF_ANALYZE" --from-model "$WORK/powered.bfmodel" --predict 65536 \
+    --predict 131072 --power-json "$WORK/power.json" > "$WORK/from_model" \
+    || fail "--from-model --power-json exited non-zero"
+[ -s "$WORK/power.json" ] || fail "--from-model ignored --power-json"
+[ "$(grep -c '"power_w": ' "$WORK/power.json")" -eq 2 ] \
+    || fail "power report lacks one row per size: $(cat "$WORK/power.json")"
+grep -q '"energy_j": ' "$WORK/power.json" \
+    || fail "power report lacks energy_j"
+grep -q "power report written to" "$WORK/from_model" \
+    || fail "--from-model did not announce the power report"
 
 echo "serve_power_e2e: PASS"

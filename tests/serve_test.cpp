@@ -7,10 +7,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,6 +21,7 @@
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/io.hpp"
+#include "common/string_util.hpp"
 #include "gpusim/arch.hpp"
 #include "profiling/sweep.hpp"
 #include "profiling/workloads.hpp"
@@ -30,20 +33,60 @@
 namespace bf {
 namespace {
 
+const ml::Dataset& reduce1_sweep() {
+  static const ml::Dataset sweep = [] {
+    const gpusim::Device dev(gpusim::arch_by_name("gtx580"));
+    return profiling::sweep(profiling::workload_by_name("reduce1"), dev,
+                            profiling::log2_sizes(1 << 14, 1 << 22, 12, 256));
+  }();
+  return sweep;
+}
+
 // One small trained predictor shared by every test in this binary: the
 // serving layer only reads it, and training dominates the runtime.
 const core::ProblemScalingPredictor& trained_predictor() {
   static const core::ProblemScalingPredictor p = [] {
-    const gpusim::Device dev(gpusim::arch_by_name("gtx580"));
-    const ml::Dataset sweep = profiling::sweep(
-        profiling::workload_by_name("reduce1"), dev,
-        profiling::log2_sizes(1 << 14, 1 << 22, 12, 256));
     core::ProblemScalingOptions pso;
     pso.model.forest.n_trees = 60;
     pso.arch = gpusim::arch_by_name("gtx580");
-    return core::ProblemScalingPredictor::build(sweep, pso);
+    return core::ProblemScalingPredictor::build(reduce1_sweep(), pso);
   }();
   return p;
+}
+
+// The power predictor of the same sweep, for bundles carrying every
+// record kind of the format.
+const power::PowerPredictor& trained_power() {
+  static const power::PowerPredictor p = [] {
+    power::PowerPredictorOptions opts;
+    opts.scaling.model.forest.n_trees = 60;
+    opts.scaling.arch = gpusim::arch_by_name("gtx580");
+    return power::PowerPredictor::build(reduce1_sweep(), opts);
+  }();
+  return p;
+}
+
+/// Split an exported bundle into its three-line outer header and the
+/// payload the header's byte count and checksum cover.
+std::pair<std::string, std::string> split_bundle(const std::string& content) {
+  std::size_t end = 0;
+  for (int line = 0; line < 3; ++line) end = content.find('\n', end) + 1;
+  return {content.substr(0, end), content.substr(end)};
+}
+
+/// Reassemble a bundle around an edited payload, with the outer byte
+/// count and checksum recomputed so that only the edit can reject it.
+std::string reseal_bundle(const std::string& payload) {
+  return "bfmodel " + std::to_string(serve::kBundleFormatVersion) +
+         "\nbytes " + std::to_string(payload.size()) +
+         "\nchecksum fnv1a64 " + to_hex64(fnv1a64(payload)) + "\n" + payload;
+}
+
+/// Two guarded predictions give the same answer: value, interval, grade.
+bool same_answer(const guard::PredictionGuardRecord& a,
+                 const guard::PredictionGuardRecord& b) {
+  return a.value == b.value && a.lo == b.lo && a.hi == b.hi &&
+         a.grade == b.grade;
 }
 
 class ServeTest : public ::testing::Test {
@@ -75,6 +118,12 @@ class ServeTest : public ::testing::Test {
                         trained_predictor());
   }
 
+  std::string export_powered(const std::string& name) const {
+    serve::export_model(bundle_path(name), name, "reduce1", "gtx580", 12,
+                        trained_predictor(), 5, &trained_power());
+    return *read_file(bundle_path(name));
+  }
+
   std::filesystem::path dir_;
 };
 
@@ -89,8 +138,6 @@ TEST_F(ServeTest, BundleRoundTripIsBitIdentical) {
   // must reproduce value, interval and grade bit for bit.
   for (const double size : {20000.0, 65536.0, 262144.0, 4194304.0,
                             16777216.0}) {
-    EXPECT_EQ(original.predict_time(size),
-              loaded.predictor.predict_time(size));
     const auto a = original.predict_guarded(size);
     const auto b = loaded.predictor.predict_guarded(size);
     EXPECT_EQ(a.value, b.value);
@@ -152,7 +199,7 @@ TEST_F(ServeTest, BadMagicAndOtherVersionsAreRejected) {
   const std::string content = *read_file(bundle_path("reduce1"));
   EXPECT_NO_THROW(serve::bundle_from_string(content, "t"));
   // Every past vintage and a future one: exactly one version is read.
-  for (const int version : {1, 2, 3, serve::kBundleFormatVersion + 1}) {
+  for (const int version : {1, 2, 3, 4, serve::kBundleFormatVersion + 1}) {
     EXPECT_THROW(
         serve::bundle_from_string(with_header_version(content, version), "t"),
         Error)
@@ -176,6 +223,107 @@ TEST_F(ServeTest, PreviousRecordVersionsAreRejected) {
               std::string::npos)
         << e.what();
   }
+
+  // Every record kind of a powered bundle, bumped one version ahead in
+  // turn, must be refused by its own header check: the message names the
+  // magic and the version. A reader that skipped the check would fail
+  // later with a parse error instead.
+  const std::string content = export_powered("powered");
+  ASSERT_NO_THROW(serve::bundle_from_string(content, "t"));
+  // Header lines match ^(bf_\w+|bfmodel) \d+$.
+  const auto is_word = [](const std::string& s) {
+    return std::all_of(s.begin(), s.end(), [](unsigned char c) {
+      return std::isalnum(c) != 0 || c == '_';
+    });
+  };
+  const auto is_number = [](const std::string& s) {
+    return !s.empty() && std::all_of(s.begin(), s.end(), [](unsigned char c) {
+      return std::isdigit(c) != 0;
+    });
+  };
+  std::map<std::string, std::pair<std::size_t, int>> first;  // offset, version
+  for (std::size_t at = 0; at < content.size();) {
+    const std::size_t end = std::min(content.find('\n', at), content.size());
+    const std::string line = content.substr(at, end - at);
+    const std::size_t space = line.find(' ');
+    const std::string magic = line.substr(0, space);
+    const std::string version =
+        space == std::string::npos ? "" : line.substr(space + 1);
+    if ((magic == "bfmodel" || (magic.rfind("bf_", 0) == 0 &&
+                                magic.size() > 3 && is_word(magic))) &&
+        is_number(version)) {
+      first.emplace(magic,
+                    std::make_pair(at, static_cast<int>(parse_int(version))));
+    }
+    at = end + 1;
+  }
+  const std::vector<std::string> magics = {
+      "bfmodel", "bf_bundle_meta", "bf_psp", "bf_guard_options", "bf_hull",
+      "bf_counter_models", "bf_glm", "bf_mars", "bf_model", "bf_flat_forest",
+      "bf_power"};
+  ASSERT_EQ(first.size(), magics.size());
+  for (const auto& magic : magics) ASSERT_EQ(first.count(magic), 1u) << magic;
+
+  const auto [outer, payload] = split_bundle(content);
+  for (const auto& [magic, found] : first) {
+    const auto [offset, version] = found;
+    std::string bumped;
+    if (magic == "bfmodel") {
+      bumped = with_header_version(content, version + 1);
+    } else {
+      const std::string from = magic + " " + std::to_string(version);
+      std::string edited = payload;
+      edited.replace(offset - outer.size(), from.size(),
+                     magic + " " + std::to_string(version + 1));
+      bumped = reseal_bundle(edited);
+    }
+    const std::string want = magic + " format_version " +
+                             std::to_string(version + 1) + " is unsupported";
+    try {
+      serve::bundle_from_string(bumped, "t");
+      ADD_FAILURE() << magic << " " << version + 1 << " loaded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST_F(ServeTest, ForgedSizeHeadersFailBeforeAllocating) {
+  // A count in a header must not size an allocation before the content
+  // behind it is known to exist: each forged edit throws bf::Error (not
+  // std::bad_alloc) and takes the corrupt-bundle path into quarantine.
+  const std::string payload = split_bundle(export_powered("source")).second;
+  // Rewrite the count after the first "<tag> " line start of the payload.
+  const auto forge_count = [&](const std::string& tag,
+                               const std::string& count) {
+    const std::size_t at = payload.find("\n" + tag + " ");
+    EXPECT_NE(at, std::string::npos) << tag;
+    const std::size_t from = at + tag.size() + 2;
+    std::string edited = payload;
+    edited.replace(from, payload.find_first_of(" \n", from) - from, count);
+    return reseal_bundle(edited);
+  };
+  struct Case {
+    const char* name;
+    std::string content;
+  };
+  const std::vector<Case> cases = {
+      {"bytes", "bfmodel " + std::to_string(serve::kBundleFormatVersion) +
+                    "\nbytes 999999999999999\nchecksum fnv1a64 "
+                    "0123456789abcdef\nxx"},
+      {"nodes", forge_count("nodes", "2000000000")},
+      {"envelope", forge_count("envelope", "2000000000")},
+  };
+  serve::ModelRegistry registry(dir_.string());
+  for (const auto& c : cases) {
+    EXPECT_THROW(serve::bundle_from_string(c.content, "t"), Error) << c.name;
+    const std::string path = bundle_path(c.name);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << c.content;
+    EXPECT_THROW(registry.get(c.name), Error) << c.name;
+    EXPECT_FALSE(std::filesystem::exists(path)) << c.name;
+    EXPECT_TRUE(std::filesystem::exists(path + ".quarantined")) << c.name;
+  }
 }
 
 TEST_F(ServeTest, RegistryQuarantinesPreviousVersionBundle) {
@@ -185,7 +333,7 @@ TEST_F(ServeTest, RegistryQuarantinesPreviousVersionBundle) {
   // corrupt-bundle path into quarantine.
   export_named("old");
   const std::string path = bundle_path("old");
-  const std::string old = with_header_version(*read_file(path), 3);
+  const std::string old = with_header_version(*read_file(path), 4);
   std::ofstream(path, std::ios::binary | std::ios::trunc) << old;
   serve::ServerOptions options;
   options.model_dir = dir_.string();
@@ -195,8 +343,8 @@ TEST_F(ServeTest, RegistryQuarantinesPreviousVersionBundle) {
   EXPECT_FALSE(reply.find("ok")->boolean);
   EXPECT_EQ(reply.find("code")->str, "model_unavailable");
   const std::string error = reply.find("error")->str;
-  EXPECT_NE(error.find("format_version 3"), std::string::npos) << error;
-  EXPECT_NE(error.find("bfmodel 4"), std::string::npos) << error;
+  EXPECT_NE(error.find("format_version 4"), std::string::npos) << error;
+  EXPECT_NE(error.find("bfmodel 5"), std::string::npos) << error;
   EXPECT_FALSE(std::filesystem::exists(path));
   EXPECT_TRUE(std::filesystem::exists(path + ".quarantined"));
 }
@@ -349,8 +497,8 @@ TEST_F(ServeTest, ReloadPromotesNewGeneration) {
   EXPECT_NE(gen2->checksum, gen1->checksum);
   // The pre-reload pin still answers from its own, untouched generation.
   EXPECT_EQ(gen1->generation, 1u);
-  EXPECT_EQ(gen1->bundle.predictor.predict_time(65536),
-            gen2->bundle.predictor.predict_time(65536));
+  EXPECT_TRUE(same_answer(gen1->bundle.predictor.predict_guarded(65536),
+                          gen2->bundle.predictor.predict_guarded(65536)));
 
   const auto stats = registry.stats();
   EXPECT_EQ(stats.reloads, 2u);
@@ -565,9 +713,12 @@ TEST_F(ServeTest, ReloadUnderConcurrentPredictionsIsRaceFree) {
           }
           // Two predictions through the same pin must agree even if the
           // registry promoted a new generation in between.
-          const double first = pinned->bundle.predictor.predict_time(65536);
-          const double again = pinned->bundle.predictor.predict_time(65536);
-          if (first != again || pinned->generation == 0) ++failures;
+          const auto& predictor = pinned->bundle.predictor;
+          if (!same_answer(predictor.predict_guarded(65536),
+                           predictor.predict_guarded(65536)) ||
+              pinned->generation == 0) {
+            ++failures;
+          }
         } catch (const std::exception&) {
           ++failures;
         }

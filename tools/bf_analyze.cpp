@@ -57,8 +57,6 @@ void usage() {
       "  --guard-margin F  extrapolation margin of the prediction guard,\n"
       "                    as a fraction of the training span (default 0.1)\n"
       "  --strict-guard    exit non-zero when any prediction grades C\n"
-      "  --no-guard        disable model-health supervision (legacy\n"
-      "                    unguarded prediction path)\n"
       "  --guard-json PATH write the guard report as JSON\n"
       "  --power           model board power as a second response: ranks\n"
       "                    energy bottlenecks next to time bottlenecks,\n"
@@ -98,7 +96,6 @@ struct Args {
   std::string repo;
   double guard_margin = 0.1;
   bool strict_guard = false;
-  bool no_guard = false;
   std::string guard_json;
   bool power = false;
   std::string power_json;
@@ -145,8 +142,6 @@ Args parse(int argc, char** argv) {
       args.guard_margin = parse_double(next());
     } else if (a == "--strict-guard") {
       args.strict_guard = true;
-    } else if (a == "--no-guard") {
-      args.no_guard = true;
     } else if (a == "--guard-json") {
       args.guard_json = next();
     } else if (a == "--power") {
@@ -254,6 +249,48 @@ std::size_t run_check_mode(const Args& args, double lo, double hi,
   return violations.size();
 }
 
+/// Answer every --predict size through the guarded query: time rows,
+/// power rows when a power predictor is present, the guard report and
+/// the requested JSON exports. Returns the exit code (2 when
+/// --strict-guard trips).
+int print_predictions(const Args& args,
+                      const core::ProblemScalingPredictor& predictor,
+                      const bf::power::PowerPredictor* power) {
+  std::printf("problem-scaling predictions:\n");
+  guard::GuardReport report = predictor.guard_report();
+  core::PredictionSeries series;
+  for (const double s : args.predict) {
+    const auto rec = predictor.predict_guarded(s);
+    std::printf("  size %-10g -> %.4f ms  [%.4f, %.4f]  grade %c%s\n", s,
+                rec.value, rec.lo, rec.hi, guard::grade_letter(rec.grade),
+                rec.extrapolated ? "  (extrapolated)" : "");
+    report.predictions.push_back(rec);
+    series.sizes.push_back(s);
+    series.predicted_ms.push_back(rec.value);
+  }
+  if (power != nullptr) {
+    bf::power::annotate_series(series, *power);
+    std::printf("\npower predictions (board watts, energy):\n%s",
+                report::power_text(series).c_str());
+    if (!args.power_json.empty()) {
+      report::export_power_json(args.power_json, series);
+      std::printf("power report written to %s\n", args.power_json.c_str());
+    }
+  }
+  std::printf("\n%s", report::guard_text(report).c_str());
+  if (!args.guard_json.empty()) {
+    report::export_guard_json(args.guard_json, report);
+    std::printf("guard report written to %s\n", args.guard_json.c_str());
+  }
+  if (args.strict_guard && report.count(guard::Grade::kC) > 0) {
+    std::fprintf(stderr,
+                 "bf_analyze: --strict-guard: %zu prediction(s) graded C\n",
+                 report.count(guard::Grade::kC));
+    return 2;
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -293,44 +330,9 @@ int main(int argc, char** argv) {
       std::printf("trained by %s\n\n", bundle.meta.provenance.c_str());
       BF_CHECK_MSG(!args.predict.empty(),
                    "--from-model needs at least one --predict size");
-      std::printf("problem-scaling predictions:\n");
-      if (args.no_guard) {
-        for (const double s : args.predict) {
-          std::printf("  size %-10g -> %.4f ms\n", s,
-                      bundle.predictor.predict_time(s));  // bf-lint: allow(guarded-predict)
-        }
-        return 0;
-      }
-      guard::GuardReport report = bundle.predictor.guard_report();
-      for (const double s : args.predict) {
-        const auto rec = bundle.predictor.predict_guarded(s);
-        std::printf("  size %-10g -> %.4f ms  [%.4f, %.4f]  grade %c%s\n", s,
-                    rec.value, rec.lo, rec.hi, guard::grade_letter(rec.grade),
-                    rec.extrapolated ? "  (extrapolated)" : "");
-        report.predictions.push_back(rec);
-      }
-      if (bundle.power.has_value()) {
-        std::printf("\npower predictions (board watts, energy):\n");
-        for (const double s : args.predict) {
-          const auto pp = bundle.power->predict_guarded(
-              s, bundle.predictor.predict_guarded(s));
-          std::printf("  size %-10g -> %.2f W  %.5f J  grade %c\n", s,
-                      pp.power_w, pp.energy_j,
-                      guard::grade_letter(pp.energy_grade));
-        }
-      }
-      std::printf("\n%s", report::guard_text(report).c_str());
-      if (!args.guard_json.empty()) {
-        report::export_guard_json(args.guard_json, report);
-        std::printf("guard report written to %s\n", args.guard_json.c_str());
-      }
-      if (args.strict_guard && report.count(guard::Grade::kC) > 0) {
-        std::fprintf(stderr,
-                     "bf_analyze: --strict-guard: %zu prediction(s) graded C\n",
-                     report.count(guard::Grade::kC));
-        return 2;
-      }
-      return 0;
+      return print_predictions(
+          args, bundle.predictor,
+          bundle.power.has_value() ? &*bundle.power : nullptr);
     }
 
     // The workload's size-granularity constraint applies regardless of
@@ -398,7 +400,6 @@ int main(int argc, char** argv) {
     if (!args.predict.empty() || !args.export_model.empty()) {
       core::ProblemScalingOptions pso;
       pso.model.forest.n_trees = static_cast<std::size_t>(args.trees);
-      pso.guard.enabled = !args.no_guard;
       pso.guard.margin = args.guard_margin;
       pso.arch = config.arch;
       const auto predictor =
@@ -408,7 +409,6 @@ int main(int argc, char** argv) {
         bf::power::PowerPredictorOptions popts;
         popts.scaling.model.forest.n_trees =
             static_cast<std::size_t>(args.trees);
-        popts.scaling.guard.enabled = !args.no_guard;
         popts.scaling.guard.margin = args.guard_margin;
         popts.scaling.arch = config.arch;
         ppred = bf::power::PowerPredictor::build(outcome.data, popts);
@@ -423,55 +423,8 @@ int main(int argc, char** argv) {
                     ppred.has_value() ? " (with power record)" : "");
         if (args.predict.empty()) return 0;
       }
-      std::printf("problem-scaling predictions:\n");
-      if (args.no_guard) {
-        for (const double s : args.predict) {
-          std::printf("  size %-10g -> %.4f ms\n", s,
-                      predictor.predict_time(s));  // bf-lint: allow(guarded-predict)
-        }
-        if (ppred.has_value()) {
-          std::printf("power predictions (board watts):\n");
-          for (const double s : args.predict) {
-            std::printf("  size %-10g -> %.2f W\n", s,
-                        ppred->predict_power(s));  // bf-lint: allow(guarded-predict)
-          }
-        }
-        return 0;
-      }
-
-      guard::GuardReport report = predictor.guard_report();
-      core::PredictionSeries pseries;
-      for (const double s : args.predict) {
-        const auto rec = predictor.predict_guarded(s);
-        std::printf("  size %-10g -> %.4f ms  [%.4f, %.4f]  grade %c%s\n", s,
-                    rec.value, rec.lo, rec.hi, guard::grade_letter(rec.grade),
-                    rec.extrapolated ? "  (extrapolated)" : "");
-        report.predictions.push_back(rec);
-        pseries.sizes.push_back(s);
-        pseries.predicted_ms.push_back(rec.value);
-      }
-      if (ppred.has_value()) {
-        bf::power::annotate_series(pseries, *ppred);
-        std::printf("\npower predictions (board watts, energy):\n%s",
-                    report::power_text(pseries).c_str());
-        if (!args.power_json.empty()) {
-          report::export_power_json(args.power_json, pseries);
-          std::printf("power report written to %s\n",
-                      args.power_json.c_str());
-        }
-      }
-      std::printf("\n%s", report::guard_text(report).c_str());
-      outcome.guard = report;
-      if (!args.guard_json.empty()) {
-        report::export_guard_json(args.guard_json, report);
-        std::printf("guard report written to %s\n", args.guard_json.c_str());
-      }
-      if (args.strict_guard && report.count(guard::Grade::kC) > 0) {
-        std::fprintf(stderr,
-                     "bf_analyze: --strict-guard: %zu prediction(s) graded C\n",
-                     report.count(guard::Grade::kC));
-        return 2;
-      }
+      return print_predictions(args, predictor,
+                               ppred.has_value() ? &*ppred : nullptr);
     }
     return 0;
   } catch (const bf::Error& e) {

@@ -299,13 +299,13 @@ int main(int argc, char** argv) {
       }
       double acc = 0.0;
       for (std::size_t t = 0; t < forest.n_trees(); ++t) {
-        acc += forest.tree(t).predict_row(row);  // bf-lint: allow(guarded-predict)
+        acc += forest.tree(t).predict_row(row);
       }
       return acc / static_cast<double>(forest.n_trees());
     };
     ml::ForestScratch scratch;
     const auto flat_row = [&](const double* row) {
-      return flat.predict_row(row, scratch);  // bf-lint: allow(guarded-predict)
+      return flat.predict_row(row, scratch);
     };
 
     // ---- bit-identity gate before any timing ----

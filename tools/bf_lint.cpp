@@ -14,7 +14,7 @@
 //
 // The analysis itself lives in src/sa/ (bf::sa): a shared
 // comment/string/raw-string-aware lexer feeding three pass families —
-// per-file token rules (the classic banned-pattern nine), the
+// per-file token rules (the classic banned-pattern seven), the
 // include-graph pass (layer DAG, cycles, duplicate includes) and the
 // concurrency passes (capture-escape, mutable-global, lock-order).
 // See docs/static_analysis.md for the full rule list and policies.
