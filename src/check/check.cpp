@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "gpusim/engine.hpp"
 
 namespace bf::check {
 
@@ -152,19 +151,6 @@ void throw_if_errors(const std::vector<Violation>& violations,
   BF_FAIL("counter invariants violated for " << context << " (" << errors
                                              << " error(s)):\n"
                                              << to_string(violations));
-}
-
-void install_engine_validator(const Options& options) {
-  gpusim::set_counter_validator(
-      [options](const gpusim::CounterSet& counters,
-                const gpusim::ArchSpec& arch) {
-        throw_if_errors(validate(counters, arch, options),
-                        "engine counters on " + arch.name);
-      });
-}
-
-void uninstall_engine_validator() {
-  gpusim::set_counter_validator(nullptr);
 }
 
 }  // namespace bf::check

@@ -131,11 +131,4 @@ std::string to_string(const std::vector<Violation>& violations);
 void throw_if_errors(const std::vector<Violation>& violations,
                      const std::string& context);
 
-/// Install a validator into the gpusim engine hook so every Device::run
-/// with RunOptions::validate_counters (or BF_CHECK_COUNTERS=1 in the
-/// environment) validates its final counters and throws on violations.
-void install_engine_validator(const Options& options = engine_tolerance());
-/// Remove the engine hook installed above.
-void uninstall_engine_validator();
-
 }  // namespace bf::check

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <istream>
 #include <numeric>
 #include <ostream>
@@ -14,6 +15,11 @@
 
 namespace bf::core {
 namespace {
+
+/// Folds and shuffle seed of the k-fold CV that ranks each counter's
+/// fallback chain.
+constexpr std::size_t kCvFolds = 5;
+constexpr std::uint64_t kCvSeed = 17;
 
 double log_input(double v) { return std::log2(std::max(0.0, v) + 1.0); }
 
@@ -191,113 +197,110 @@ CounterModels CounterModels::fit(const ml::Dataset& ds,
     info.r2 = tss > 0.0 ? 1.0 - info.residual_deviance / tss : 0.0;
 
     entry.chain = {entry.kind};
-    if (options.fit_fallback_chain) {
-      // Fit the safe extrapolators. The log-log linear model is a
-      // degree-1 GLM on the same (log) basis; the power law anchors on
-      // the last two training points of the first input.
-      ml::GlmParams lp = options.glm;
-      lp.degree = 1;
-      lp.link = ml::LinkFunction::kIdentity;
-      if (options.log_inputs) lp.log_terms = false;
-      entry.loglin.fit(x, y, lp);
+    // Fit the safe extrapolators. The log-log linear model is a
+    // degree-1 GLM on the same (log) basis; the power law anchors on
+    // the last two training points of the first input.
+    ml::GlmParams lp = options.glm;
+    lp.degree = 1;
+    lp.link = ml::LinkFunction::kIdentity;
+    if (options.log_inputs) lp.log_terms = false;
+    entry.loglin.fit(x, y, lp);
 
-      std::vector<double> first_input(y_raw.size());
-      for (std::size_t i = 0; i < y_raw.size(); ++i) {
-        first_input[i] = raw_x(i, 0);
-      }
-      const PowerLaw pl = fit_power_law(first_input, y_raw);
-      entry.pl_is_linear = pl.is_linear;
-      entry.pl_scale = pl.scale;
-      entry.pl_exp = pl.exponent;
-      entry.pl_x0 = pl.x0;
-      entry.pl_y0 = pl.y0;
-      entry.has_fallbacks = true;
+    std::vector<double> first_input(y_raw.size());
+    for (std::size_t i = 0; i < y_raw.size(); ++i) {
+      first_input[i] = raw_x(i, 0);
+    }
+    const PowerLaw pl = fit_power_law(first_input, y_raw);
+    entry.pl_is_linear = pl.is_linear;
+    entry.pl_scale = pl.scale;
+    entry.pl_exp = pl.exponent;
+    entry.pl_x0 = pl.x0;
+    entry.pl_y0 = pl.y0;
 
-      // Rank the demotion order by k-fold CV error on the raw counter
-      // scale. Note the *primary* stays the legacy RSS choice above so
-      // the untripped path is bit-identical; CV only orders fallbacks.
-      std::vector<std::string> cols = options.inputs;
-      cols.push_back(counter);
-      const ml::Dataset sub = ds.select_columns(cols);
-      const bool log_resp = entry.log_response;
-      const auto cv_for = [&](CounterModelKind kind) {
-        return ml::cv_rmse(
-            sub, counter, options.cv_folds, options.cv_seed,
-            [&, kind](const ml::Dataset& train, const ml::Dataset& test) {
-              const linalg::Matrix train_raw = train.to_matrix(options.inputs);
-              const linalg::Matrix test_raw = test.to_matrix(options.inputs);
-              std::vector<double> ty = train.column(counter);
-              std::vector<double> pred(test.num_rows());
-              if (kind == CounterModelKind::kPowerLaw) {
-                std::vector<double> txs(train.num_rows());
-                for (std::size_t i = 0; i < txs.size(); ++i) {
-                  txs[i] = train_raw(i, 0);
-                }
-                const PowerLaw fold_pl = fit_power_law(txs, ty);
-                for (std::size_t i = 0; i < pred.size(); ++i) {
-                  pred[i] = fold_pl.predict(test_raw(i, 0));
-                }
-                return pred;
+    // Rank the demotion order by k-fold CV error on the raw counter
+    // scale. Note the *primary* stays the legacy RSS choice above so
+    // the untripped path is bit-identical; CV only orders fallbacks.
+    std::vector<std::string> cols = options.inputs;
+    cols.push_back(counter);
+    const ml::Dataset sub = ds.select_columns(cols);
+    const bool log_resp = entry.log_response;
+    const auto cv_for = [&](CounterModelKind kind) {
+      return ml::cv_rmse(
+          sub, counter, kCvFolds, kCvSeed,
+          [&, kind](const ml::Dataset& train, const ml::Dataset& test) {
+            const linalg::Matrix train_raw = train.to_matrix(options.inputs);
+            const linalg::Matrix test_raw = test.to_matrix(options.inputs);
+            std::vector<double> ty = train.column(counter);
+            std::vector<double> pred(test.num_rows());
+            if (kind == CounterModelKind::kPowerLaw) {
+              std::vector<double> txs(train.num_rows());
+              for (std::size_t i = 0; i < txs.size(); ++i) {
+                txs[i] = train_raw(i, 0);
               }
-              const linalg::Matrix tx =
-                  transform_inputs(train_raw, options.log_inputs);
-              const linalg::Matrix qx =
-                  transform_inputs(test_raw, options.log_inputs);
-              if (log_resp) {
-                for (double& v : ty) v = std::log2(v);
-              }
-              if (kind == CounterModelKind::kMars) {
-                ml::Mars m;
-                m.fit(tx, ty, options.mars);
-                for (std::size_t i = 0; i < pred.size(); ++i) {
-                  std::vector<double> row(qx.cols());
-                  for (std::size_t j = 0; j < qx.cols(); ++j) row[j] = qx(i, j);
-                  pred[i] = m.predict_row(row.data(), row.size());
-                }
-              } else {
-                ml::GlmParams gp = options.glm;
-                if (options.log_inputs) gp.log_terms = false;
-                if (kind == CounterModelKind::kLogLinear) {
-                  gp.degree = 1;
-                  gp.link = ml::LinkFunction::kIdentity;
-                }
-                ml::Glm g;
-                g.fit(tx, ty, gp);
-                for (std::size_t i = 0; i < pred.size(); ++i) {
-                  std::vector<double> row(qx.cols());
-                  for (std::size_t j = 0; j < qx.cols(); ++j) row[j] = qx(i, j);
-                  pred[i] = g.predict_row(row.data(), row.size());
-                }
-              }
-              if (log_resp) {
-                for (double& v : pred) {
-                  v = std::exp2(std::clamp(v, -60.0, 60.0));
-                }
+              const PowerLaw fold_pl = fit_power_law(txs, ty);
+              for (std::size_t i = 0; i < pred.size(); ++i) {
+                pred[i] = fold_pl.predict(test_raw(i, 0));
               }
               return pred;
-            });
-      };
+            }
+            const linalg::Matrix tx =
+                transform_inputs(train_raw, options.log_inputs);
+            const linalg::Matrix qx =
+                transform_inputs(test_raw, options.log_inputs);
+            if (log_resp) {
+              for (double& v : ty) v = std::log2(v);
+            }
+            if (kind == CounterModelKind::kMars) {
+              ml::Mars m;
+              m.fit(tx, ty, options.mars);
+              for (std::size_t i = 0; i < pred.size(); ++i) {
+                std::vector<double> row(qx.cols());
+                for (std::size_t j = 0; j < qx.cols(); ++j) row[j] = qx(i, j);
+                pred[i] = m.predict_row(row.data(), row.size());
+              }
+            } else {
+              ml::GlmParams gp = options.glm;
+              if (options.log_inputs) gp.log_terms = false;
+              if (kind == CounterModelKind::kLogLinear) {
+                gp.degree = 1;
+                gp.link = ml::LinkFunction::kIdentity;
+              }
+              ml::Glm g;
+              g.fit(tx, ty, gp);
+              for (std::size_t i = 0; i < pred.size(); ++i) {
+                std::vector<double> row(qx.cols());
+                for (std::size_t j = 0; j < qx.cols(); ++j) row[j] = qx(i, j);
+                pred[i] = g.predict_row(row.data(), row.size());
+              }
+            }
+            if (log_resp) {
+              for (double& v : pred) {
+                v = std::exp2(std::clamp(v, -60.0, 60.0));
+              }
+            }
+            return pred;
+          });
+    };
 
-      struct Cand {
-        CounterModelKind kind;
-        double rmse;
-      };
-      std::vector<Cand> cands;
-      if (want_glm) cands.push_back({CounterModelKind::kGlm, 0.0});
-      if (want_mars) cands.push_back({CounterModelKind::kMars, 0.0});
-      cands.push_back({CounterModelKind::kLogLinear, 0.0});
-      cands.push_back({CounterModelKind::kPowerLaw, 0.0});
-      for (auto& c : cands) c.rmse = cv_for(c.kind);
-      for (const auto& c : cands) {
-        if (c.kind == entry.kind) info.cv_rmse = c.rmse;
-      }
-      std::stable_sort(cands.begin(), cands.end(),
-                       [](const Cand& a, const Cand& b) {
-                         return a.rmse < b.rmse;
-                       });
-      for (const auto& c : cands) {
-        if (c.kind != entry.kind) entry.chain.push_back(c.kind);
-      }
+    struct Cand {
+      CounterModelKind kind;
+      double rmse;
+    };
+    std::vector<Cand> cands;
+    if (want_glm) cands.push_back({CounterModelKind::kGlm, 0.0});
+    if (want_mars) cands.push_back({CounterModelKind::kMars, 0.0});
+    cands.push_back({CounterModelKind::kLogLinear, 0.0});
+    cands.push_back({CounterModelKind::kPowerLaw, 0.0});
+    for (auto& c : cands) c.rmse = cv_for(c.kind);
+    for (const auto& c : cands) {
+      if (c.kind == entry.kind) info.cv_rmse = c.rmse;
+    }
+    std::stable_sort(cands.begin(), cands.end(),
+                     [](const Cand& a, const Cand& b) {
+                       return a.rmse < b.rmse;
+                     });
+    for (const auto& c : cands) {
+      if (c.kind != entry.kind) entry.chain.push_back(c.kind);
     }
     info.chain = entry.chain;
 
@@ -320,8 +323,6 @@ double CounterModels::predict_entry_kind(const Entry& entry,
                                          bool* negative_clamped) const {
   double v;
   if (kind == CounterModelKind::kPowerLaw) {
-    BF_CHECK_MSG(entry.has_fallbacks,
-                 "power-law fallback was not fit for " << entry.counter);
     PowerLaw pl;
     pl.is_linear = entry.pl_is_linear;
     pl.scale = entry.pl_scale;
@@ -337,8 +338,6 @@ double CounterModels::predict_entry_kind(const Entry& entry,
     if (kind == CounterModelKind::kMars) {
       v = entry.mars.predict_row(scratch.data(), scratch.size());
     } else if (kind == CounterModelKind::kLogLinear) {
-      BF_CHECK_MSG(entry.has_fallbacks,
-                   "log-linear fallback was not fit for " << entry.counter);
       v = entry.loglin.predict_row(scratch.data(), scratch.size());
     } else {
       v = entry.glm.predict_row(scratch.data(), scratch.size());
@@ -440,11 +439,16 @@ std::vector<CounterModelKind> load_chain(std::istream& is) {
   return chain;
 }
 
+bool chain_has(const std::vector<CounterModelKind>& chain,
+               CounterModelKind kind) {
+  return std::find(chain.begin(), chain.end(), kind) != chain.end();
+}
+
 }  // namespace
 
 void CounterModels::save(std::ostream& os) const {
   os.precision(17);
-  os << "bf_counter_models 1\n";
+  os << "bf_counter_models 2\n";
   os << inputs_.size();
   for (const auto& name : inputs_) os << ' ' << name;
   os << ' ' << (log_inputs_ ? 1 : 0) << "\n";
@@ -452,9 +456,8 @@ void CounterModels::save(std::ostream& os) const {
   for (const auto& e : entries_) {
     os << e.counter << ' ' << static_cast<int>(e.kind) << ' '
        << (e.log_response ? 1 : 0) << ' ' << (e.clamp_negative ? 1 : 0) << ' '
-       << (e.has_fallbacks ? 1 : 0) << ' ' << (e.pl_is_linear ? 1 : 0) << ' '
-       << e.pl_scale << ' ' << e.pl_exp << ' ' << e.pl_x0 << ' ' << e.pl_y0
-       << "\n";
+       << (e.pl_is_linear ? 1 : 0) << ' ' << e.pl_scale << ' ' << e.pl_exp
+       << ' ' << e.pl_x0 << ' ' << e.pl_y0 << "\n";
     save_chain(os, e.chain);
     e.glm.save(os);
     e.mars.save(os);
@@ -469,7 +472,7 @@ void CounterModels::save(std::ostream& os) const {
 }
 
 CounterModels CounterModels::load(std::istream& is) {
-  read_format_version(is, "bf_counter_models", 1);
+  read_format_version(is, "bf_counter_models", 2);
   CounterModels out;
   std::size_t n_inputs = 0;
   BF_CHECK_MSG(static_cast<bool>(is >> n_inputs) && n_inputs >= 1 &&
@@ -492,22 +495,27 @@ CounterModels CounterModels::load(std::istream& is) {
     int kind = 0;
     int log_response = 0;
     int clamp_negative = 0;
-    int has_fallbacks = 0;
     int pl_is_linear = 0;
     BF_CHECK_MSG(static_cast<bool>(is >> e.counter >> kind >> log_response >>
-                                   clamp_negative >> has_fallbacks >>
-                                   pl_is_linear >> e.pl_scale >> e.pl_exp >>
-                                   e.pl_x0 >> e.pl_y0),
+                                   clamp_negative >> pl_is_linear >>
+                                   e.pl_scale >> e.pl_exp >> e.pl_x0 >>
+                                   e.pl_y0),
                  "bf_counter_models: truncated entry");
     e.kind = kind_from_code(kind);
     e.log_response = log_response != 0;
     e.clamp_negative = clamp_negative != 0;
-    e.has_fallbacks = has_fallbacks != 0;
     e.pl_is_linear = pl_is_linear != 0;
     e.chain = load_chain(is);
     BF_CHECK_MSG(e.chain.front() == e.kind,
                  "bf_counter_models: chain head disagrees with primary for "
                      << e.counter);
+    // fit() always appends both safe extrapolators; the guard relies on
+    // the power law for its sanity envelope and terminal fallback.
+    BF_CHECK_MSG(chain_has(e.chain, CounterModelKind::kLogLinear) &&
+                     chain_has(e.chain, CounterModelKind::kPowerLaw),
+                 "bf_counter_models: chain for "
+                     << e.counter
+                     << " lacks the log-log linear or power-law fallback");
     e.glm = ml::Glm::load(is);
     e.mars = ml::Mars::load(is);
     e.loglin = ml::Glm::load(is);

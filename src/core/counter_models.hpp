@@ -6,13 +6,13 @@
 // execution time will be predicted by the random forest").
 //
 // Trivial counters get generalised linear models; gnarlier ones get MARS,
-// matching the paper's use of glm for MM and earth for NW. With
-// fit_fallback_chain enabled each counter additionally carries simpler
-// fallback models (log-log linear, power-law through the last two
-// points), ranked by k-fold CV error; the guard layer demotes along the
-// chain at predict time when the chosen model's output violates sanity
-// bounds. Every prediction leaves through one clamped exit point, so no
-// model can feed a negative counter value to the forest.
+// matching the paper's use of glm for MM and earth for NW. Each counter
+// additionally carries simpler fallback models (log-log linear, power-law
+// through the last two points), ranked by k-fold CV error; the guard
+// layer demotes along the chain at predict time when the chosen model's
+// output violates sanity bounds. Every prediction leaves through one
+// clamped exit point, so no model can feed a negative counter value to
+// the forest.
 #pragma once
 
 #include <iosfwd>
@@ -55,13 +55,6 @@ struct CounterModelOptions {
   /// more than two decades; predictions are mapped back with exp2. This
   /// keeps wide-range count counters positive and accurate.
   bool auto_log_response = true;
-  /// Also fit the fallback models (log-log linear, power-law) and rank
-  /// the demotion order by k-fold CV error. The *primary* selection is
-  /// unchanged (the legacy RSS rule), so predictions stay bit-identical
-  /// until a guard actually demotes.
-  bool fit_fallback_chain = false;
-  std::size_t cv_folds = 5;
-  std::uint64_t cv_seed = 17;
   ml::GlmParams glm;
   ml::MarsParams mars;
 };
@@ -72,9 +65,9 @@ struct CounterModelInfo {
   CounterModelKind chosen = CounterModelKind::kGlm;
   double r2 = 0.0;
   double residual_deviance = 0.0;  ///< GLM-style RSS on the response scale
-  /// K-fold CV RMSE of the chosen model (0 when the chain was not fit).
+  /// K-fold CV RMSE of the chosen model.
   double cv_rmse = 0.0;
-  /// Demotion order, chosen model first (single entry without a chain).
+  /// Demotion order, chosen model first.
   std::vector<CounterModelKind> chain;
 };
 
@@ -131,12 +124,11 @@ class CounterModels {
     bool clamp_negative = true;
     ml::Glm glm;
     ml::Mars mars;
-    // ---- fallback chain (fit_fallback_chain) ----
+    // ---- fallback chain ----
     ml::Glm loglin;
     /// Power law y = pl_scale * s^pl_exp on the first input; when the
     /// anchor points are non-positive a linear segment through the last
     /// two points is used instead.
-    bool has_fallbacks = false;
     bool pl_is_linear = false;
     double pl_scale = 0.0;
     double pl_exp = 0.0;

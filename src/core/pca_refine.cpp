@@ -9,6 +9,12 @@
 #include "profiling/sweep.hpp"
 
 namespace bf::core {
+namespace {
+
+/// A rotated loading at least this large ties a counter to its component.
+constexpr double kLoadingCutoff = 0.3;
+
+}  // namespace
 
 const char* facet_name(Facet facet) {
   switch (facet) {
@@ -85,10 +91,10 @@ PcaRefinement pca_refine(const ml::Dataset& ds,
   params.max_components = options.max_components;
   out.pca.fit(vars.to_matrix(vars.column_names()), vars.column_names(),
               params);
-  if (options.varimax) out.pca.varimax();
+  out.pca.varimax();
 
   const auto proportions = out.pca.variance_proportion();
-  const auto strong = out.pca.strong_loadings(options.loading_cutoff);
+  const auto strong = out.pca.strong_loadings(kLoadingCutoff);
   const std::size_t k = out.pca.num_retained();
 
   for (std::size_t c = 0; c < k; ++c) {

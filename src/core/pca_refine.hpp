@@ -36,7 +36,7 @@ struct InterpretedComponent {
   int index = 0;                 ///< 0-based component number (PC1 = 0)
   double variance_share = 0.0;   ///< fraction of total variance
   Facet facet = Facet::kOther;   ///< dominant facet
-  /// Strong loadings (|loading| >= cutoff), sorted by magnitude.
+  /// Strong varimax loadings, sorted by magnitude.
   std::vector<std::pair<std::string, double>> loadings;
   std::string label;             ///< e.g. "PC2: MIMD/ILP parallelism"
 };
@@ -50,8 +50,6 @@ struct PcaRefinement {
 struct PcaRefineOptions {
   double variance_target = 0.97;
   std::size_t max_components = 6;
-  double loading_cutoff = 0.3;
-  bool varimax = true;
   /// Columns to leave out of the PCA (the response is always excluded).
   std::vector<std::string> exclude;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <span>
 #include <sstream>
@@ -18,6 +17,12 @@
 
 namespace bf::core {
 namespace {
+
+/// Variables kept from an importance ranking (paper: "between 6 and 8").
+constexpr std::size_t kTopVariables = 6;
+/// Fraction of the target-GPU sweep used for calibration in hardware
+/// scaling (the paper calibrates on the target and tests on the rest).
+constexpr double kCalibrationFraction = 0.8;
 
 PredictionSeries score_series(std::vector<double> sizes,
                               std::vector<double> measured,
@@ -64,8 +69,7 @@ int count_events(const std::vector<guard::PredictionGuardRecord>& recs,
 
 guard::PredictionGuardRecord grade_forest_row(
     const guard::DomainGuard& hull, const ml::Dataset& rows, std::size_t row,
-    double size, const ml::PredictionInterval& iv,
-    const guard::GuardOptions& options) {
+    double size, const ml::PredictionInterval& iv) {
   guard::PredictionGuardRecord rec;
   rec.size = size;
   rec.value = iv.mean;
@@ -77,7 +81,7 @@ guard::PredictionGuardRecord grade_forest_row(
                            : iv.hi - iv.lo;
   rec.flags = hull.check_row(rows, row);
   rec.extrapolated = !rec.flags.empty();
-  rec.grade = guard::grade_prediction(rec, options);
+  rec.grade = guard::grade_prediction(rec);
   return rec;
 }
 
@@ -93,7 +97,7 @@ ProblemScalingPredictor ProblemScalingPredictor::build(
 
   // Retain the top-k variables; "size" rides along so the counter models
   // and the forest agree on the input space.
-  p.retained_ = p.full_.top_variables(options.top_k);
+  p.retained_ = p.full_.top_variables(kTopVariables);
   if (std::find(p.retained_.begin(), p.retained_.end(),
                 profiling::kSizeColumn) == p.retained_.end() &&
       p.full_.train_data().has_column(profiling::kSizeColumn)) {
@@ -103,16 +107,14 @@ ProblemScalingPredictor ProblemScalingPredictor::build(
 
   CounterModelOptions cm = options.counter_models;
   cm.inputs = {profiling::kSizeColumn};
-  cm.fit_fallback_chain = true;
-  cm.cv_folds = options.guard.cv_folds;
-  p.guard_ = options.guard;
   p.arch_ = options.arch;
   p.counters_ = CounterModels::fit(p.full_.train_data(), p.retained_, cm);
 
   // Guard fit-time state: the training hull over every retained feature
   // and the per-counter sanity envelope the fallback chain is judged by.
   const ml::Dataset& train = p.full_.train_data();
-  p.hull_ = guard::DomainGuard::build(train, p.retained_, p.guard_.margin);
+  p.hull_ =
+      guard::DomainGuard::build(train, p.retained_, options.guard.margin);
   const auto& size_col = train.column(profiling::kSizeColumn);
   std::size_t argmax = 0;
   for (std::size_t i = 0; i < size_col.size(); ++i) {
@@ -150,13 +152,9 @@ guard::PredictionGuardRecord ProblemScalingPredictor::predict_guarded(
   for (std::size_t e = 0; e < counters_.num_entries(); ++e) {
     const std::string& name = counters_.entry_counter(e);
     const auto& chain = counters_.entry_chain(e);
-    const bool has_chain = chain.size() > 1;
-    double envelope = std::numeric_limits<double>::infinity();
-    if (has_chain) {
-      const double pl = counters_.predict_kind(
-          e, CounterModelKind::kPowerLaw, cm_inputs, cm_scratch);
-      envelope = std::max(train_max_[e], pl) * guard_.demote_slack;
-    }
+    const double pl = counters_.predict_kind(e, CounterModelKind::kPowerLaw,
+                                             cm_inputs, cm_scratch);
+    const double envelope = std::max(train_max_[e], pl) * guard::kDemoteSlack;
     const bool beyond_train = size > max_train_size_;
     double value = 0.0;
     bool accepted = false;
@@ -173,7 +171,7 @@ guard::PredictionGuardRecord ProblemScalingPredictor::predict_guarded(
       } else if (v > envelope) {
         why = "exceeds sanity envelope";
       } else if (beyond_train && monotone_[e] &&
-                 v < train_at_max_size_[e] * guard_.monotone_floor) {
+                 v < train_at_max_size_[e] * guard::kMonotoneFloor) {
         why = "breaks monotone growth";
       }
       if (!why.empty()) {
@@ -192,15 +190,10 @@ guard::PredictionGuardRecord ProblemScalingPredictor::predict_guarded(
     if (!accepted) {
       // Every model failed: fall back to the power law clamped into the
       // envelope — the least-wrong physically meaningful value.
-      double v = has_chain
-                     ? counters_.predict_kind(e, CounterModelKind::kPowerLaw,
-                                              cm_inputs, cm_scratch)
-                     : counters_.predict_kind(e, chain.front(), cm_inputs,
-                                              cm_scratch);
+      double v = counters_.predict_kind(e, CounterModelKind::kPowerLaw,
+                                        cm_inputs, cm_scratch);
       if (!std::isfinite(v)) v = train_at_max_size_[e];
-      value = std::clamp(v, 0.0, std::isfinite(envelope)
-                                     ? envelope
-                                     : std::numeric_limits<double>::max());
+      value = std::clamp(v, 0.0, envelope);
       std::ostringstream os;
       os << name << ": " << v << " -> " << value
          << " (all chain models failed: " << first_failure << ")";
@@ -217,7 +210,7 @@ guard::PredictionGuardRecord ProblemScalingPredictor::predict_guarded(
   const std::vector<guard::PhysicalCap> caps =
       arch_ ? guard::static_caps(*arch_) : guard::ratio_caps();
   for (const auto& ev :
-       guard::clamp_row_to_caps(features, 0, caps, guard_.cap_tolerance)) {
+       guard::clamp_row_to_caps(features, 0, caps, guard::kCapTolerance)) {
     rec.clamps.push_back(format_clamp(ev));
   }
 
@@ -236,7 +229,7 @@ guard::PredictionGuardRecord ProblemScalingPredictor::predict_guarded(
       std::isfinite(iv.mean) && iv.mean > 0.0) {
     const auto tcaps = guard::time_caps(*arch_, iv.mean);
     const auto tev =
-        guard::clamp_row_to_caps(features, 0, tcaps, guard_.cap_tolerance);
+        guard::clamp_row_to_caps(features, 0, tcaps, guard::kCapTolerance);
     if (!tev.empty()) {
       for (const auto& ev : tev) rec.clamps.push_back(format_clamp(ev));
       xm = features.to_matrix(reduced_.predictors());
@@ -245,7 +238,7 @@ guard::PredictionGuardRecord ProblemScalingPredictor::predict_guarded(
   } else if (arch_ && response_ == profiling::kPowerColumn) {
     std::vector<guard::ClampEvent> pev;
     const double capped = guard::clamp_power_to_envelope(
-        *arch_, iv.mean, guard_.cap_tolerance, pev);
+        *arch_, iv.mean, guard::kCapTolerance, pev);
     if (!pev.empty()) {
       for (const auto& ev : pev) rec.clamps.push_back(format_clamp(ev));
       iv.mean = capped;
@@ -260,14 +253,14 @@ guard::PredictionGuardRecord ProblemScalingPredictor::predict_guarded(
   rec.interval_width = std::abs(iv.mean) > 0.0
                            ? (iv.hi - iv.lo) / std::abs(iv.mean)
                            : iv.hi - iv.lo;
-  rec.grade = guard::grade_prediction(rec, guard_);
+  rec.grade = guard::grade_prediction(rec);
   return rec;
 }
 
 guard::GuardReport ProblemScalingPredictor::guard_report() const {
   guard::GuardReport report;
   report.enabled = true;
-  report.options = guard_;
+  report.options.margin = hull_.margin();
   report.hull = hull_.ranges();
   for (const auto& info : counters_.info()) {
     guard::CounterGuardRecord rec;
@@ -309,7 +302,7 @@ PredictionSeries ProblemScalingPredictor::validate(
 
 void ProblemScalingPredictor::save(std::ostream& os) const {
   os.precision(17);
-  os << "bf_psp 2\n";
+  os << "bf_psp 3\n";
   os << "response " << response_ << "\n";
   // The architecture is stored by name and re-resolved from the compiled
   // registry on load: physical caps derive from the spec, so name-based
@@ -323,14 +316,13 @@ void ProblemScalingPredictor::save(std::ostream& os) const {
     os << train_max_[e] << ' ' << train_at_max_size_[e] << ' '
        << (monotone_[e] ? 1 : 0) << "\n";
   }
-  guard::save_options(os, guard_);
   hull_.save(os);
   counters_.save(os);
   reduced_.save(os);
 }
 
 ProblemScalingPredictor ProblemScalingPredictor::load(std::istream& is) {
-  read_format_version(is, "bf_psp", 2);
+  read_format_version(is, "bf_psp", 3);
   ProblemScalingPredictor p;
   std::string tag;
   BF_CHECK_MSG(static_cast<bool>(is >> tag >> p.response_) && tag == "response",
@@ -369,7 +361,6 @@ ProblemScalingPredictor ProblemScalingPredictor::load(std::istream& is) {
                  "bf_psp: truncated envelope");
     p.monotone_[e] = monotone != 0;
   }
-  p.guard_ = guard::load_options(is);
   p.hull_ = guard::DomainGuard::load(is);
   p.counters_ = CounterModels::load(is);
   p.reduced_ = BlackForestModel::load(is);
@@ -405,10 +396,10 @@ HardwareScalingResult HardwareScalingPredictor::predict(
   ModelOptions per_arch = options.model;
   const BlackForestModel src_model = BlackForestModel::fit(source, per_arch);
   const BlackForestModel tgt_model = BlackForestModel::fit(target, per_arch);
-  out.source_top = src_model.top_variables(options.top_k);
-  out.target_top = tgt_model.top_variables(options.top_k);
+  out.source_top = src_model.top_variables(kTopVariables);
+  out.target_top = tgt_model.top_variables(kTopVariables);
   out.similarity =
-      importance_similarity(src_model, tgt_model, options.top_k);
+      importance_similarity(src_model, tgt_model, kTopVariables);
   out.used_mixed_variables = out.similarity < options.similarity_threshold;
 
   // Columns usable across the two generations.
@@ -467,8 +458,7 @@ HardwareScalingResult HardwareScalingPredictor::predict(
   // rows + the target calibration rows.
   Rng rng(options.seed);
   const ml::TrainTestSplit split = ml::train_test_split(
-      target.select_columns(train_cols), 1.0 - options.calibration_fraction,
-      rng);
+      target.select_columns(train_cols), 1.0 - kCalibrationFraction, rng);
   const ml::Dataset train = ml::Dataset::concat(
       source.select_columns(train_cols), split.train);
 
@@ -485,18 +475,19 @@ HardwareScalingResult HardwareScalingPredictor::predict(
   // Annotate (never alter) the test predictions: hull membership of each
   // test row w.r.t. the calibrated training set, plus per-tree spread
   // grading. Cross-architecture prediction is exactly where the model
-  // silently leaves its domain (paper §6.2's NW divergence).
+  // silently leaves its domain (paper §6.2's NW divergence). The hull
+  // takes the default margin.
   const guard::DomainGuard hull = guard::DomainGuard::build(
-      train, model.predictors(), options.guard.margin);
+      train, model.predictors(), guard::GuardOptions{}.margin);
   const linalg::Matrix xm = split.test.to_matrix(model.predictors());
   const auto intervals = model.predict_intervals(xm);
   out.series.guard.enabled = true;
-  out.series.guard.options = options.guard;
+  out.series.guard.options.margin = hull.margin();
   out.series.guard.hull = hull.ranges();
   const auto& test_sizes = out.series.sizes;
   for (std::size_t r = 0; r < intervals.size(); ++r) {
     out.series.guard.predictions.push_back(grade_forest_row(
-        hull, split.test, r, test_sizes[r], intervals[r], options.guard));
+        hull, split.test, r, test_sizes[r], intervals[r]));
   }
   return out;
 }

@@ -50,11 +50,10 @@ struct PredictionSeries {
 // ---- Problem scaling ----
 
 struct ProblemScalingOptions {
-  std::size_t top_k = 6;  ///< retained variables (paper: "between 6 and 8")
   ModelOptions model;
   CounterModelOptions counter_models;
-  /// Model-health supervision thresholds (hull margin, fallback-chain
-  /// demotion, physical caps, confidence grades).
+  /// Training-hull margin; the other guard thresholds are the constants
+  /// in guard/guard.hpp.
   bf::guard::GuardOptions guard;
   /// Architecture whose physical limits cap predicted counters; without
   /// it only architecture-independent caps (ratio metrics <= 1) apply.
@@ -103,10 +102,10 @@ class ProblemScalingPredictor {
   bf::guard::GuardReport guard_report() const;
 
   /// Serialise the complete prediction state (reduced model, counter
-  /// chains, hull, guard thresholds, sanity envelopes, architecture) —
-  /// the payload of a .bfmodel bundle. The full-variable comparison
-  /// model is fit-time-only and is NOT stored: a loaded predictor
-  /// predicts bit-identically but full_model() is empty.
+  /// chains, hull, sanity envelopes, architecture) — the payload of a
+  /// .bfmodel bundle. The full-variable comparison model is fit-time-only
+  /// and is NOT stored: a loaded predictor predicts bit-identically but
+  /// full_model() is empty.
   void save(std::ostream& os) const;
   static ProblemScalingPredictor load(std::istream& is);
 
@@ -117,7 +116,6 @@ class ProblemScalingPredictor {
   std::vector<std::string> retained_;
   std::string response_ = "time_ms";  ///< profiling::kTimeColumn
   bf::guard::DomainGuard hull_;
-  bf::guard::GuardOptions guard_;
   std::optional<gpusim::ArchSpec> arch_;
   // Sanity envelope per counter entry (aligned with counters_ entries):
   // max training value, value at the largest training size, and whether
@@ -131,17 +129,10 @@ class ProblemScalingPredictor {
 // ---- Hardware scaling ----
 
 struct HardwareScalingOptions {
-  std::size_t top_k = 6;
-  /// Fraction of the target-GPU sweep used for calibration (the paper
-  /// calibrates on the target and tests on the rest).
-  double calibration_fraction = 0.8;
   /// Spearman-style rank-overlap threshold below which the mixed-variable
   /// workaround is applied automatically.
   double similarity_threshold = 0.5;
   ModelOptions model;
-  /// Hull + interval grading of the target test rows; predictions are
-  /// unchanged, the guard only annotates.
-  bf::guard::GuardOptions guard;
   std::uint64_t seed = 99;
 
   HardwareScalingOptions() {

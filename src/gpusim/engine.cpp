@@ -1,8 +1,6 @@
 #include "gpusim/engine.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -15,19 +13,6 @@
 
 namespace bf::gpusim {
 namespace {
-
-CounterValidator& validator_slot() {
-  static CounterValidator validator;
-  return validator;
-}
-
-bool validation_forced_by_env() {
-  static const bool forced = [] {
-    const char* v = std::getenv("BF_CHECK_COUNTERS");
-    return v != nullptr && std::strcmp(v, "0") != 0;
-  }();
-  return forced;
-}
 
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
@@ -528,12 +513,6 @@ class SmSim {
 
 }  // namespace
 
-void set_counter_validator(CounterValidator validator) {
-  validator_slot() = std::move(validator);
-}
-
-const CounterValidator& counter_validator() { return validator_slot(); }
-
 RunResult Device::run(const TraceKernel& kernel, const RunOptions& opts) const {
   const LaunchGeometry geom = kernel.geometry();
   BF_CHECK_MSG(geom.num_blocks() >= 1, "empty grid");
@@ -611,11 +590,6 @@ RunResult Device::run(const TraceKernel& kernel, const RunOptions& opts) const {
                         time_s * arch_.clock_ghz * 1e9);
   }
   result.time_ms = time_s * 1e3;
-
-  if (opts.validate_counters || validation_forced_by_env()) {
-    const CounterValidator& validate = counter_validator();
-    if (validate) validate(result.counters, arch_);
-  }
   return result;
 }
 

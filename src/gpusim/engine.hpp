@@ -44,7 +44,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <utility>
 
 #include "gpusim/arch.hpp"
 #include "gpusim/counters.hpp"
@@ -53,31 +53,11 @@
 
 namespace bf::gpusim {
 
-/// Debug hook: invoked on the final counters of every Device::run when
-/// counter validation is enabled (see RunOptions::validate_counters). The
-/// engine cannot depend on bf::check, so the check library installs its
-/// invariant validator here (check::install_engine_validator). Throwing
-/// from the validator aborts the run with the violation report.
-using CounterValidator =
-    std::function<void(const CounterSet&, const ArchSpec&)>;
-
-/// Install (or, with nullptr, remove) the process-wide validator. Not
-/// thread-safe against concurrent Device::run calls; install once at
-/// startup.
-void set_counter_validator(CounterValidator validator);
-
-/// The currently installed validator (empty when none).
-const CounterValidator& counter_validator();
-
 struct RunOptions {
   /// Upper bound on simulated blocks (0 = simulate the full grid). The
   /// engine rounds up so every SM receives at least two full occupancy
   /// waves when the grid is that large.
   int max_sampled_blocks = 128;
-  /// Run the installed counter validator on the final counters. Also
-  /// forced on for every run when BF_CHECK_COUNTERS=1 is set in the
-  /// environment (the debug flag for existing callers).
-  bool validate_counters = false;
 };
 
 struct RunResult {

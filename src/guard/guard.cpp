@@ -154,12 +154,11 @@ std::vector<std::string> GuardReport::to_lines() const {
   return lines;
 }
 
-Grade grade_prediction(const PredictionGuardRecord& rec,
-                       const GuardOptions& options) {
+Grade grade_prediction(const PredictionGuardRecord& rec) {
   Grade g = Grade::kA;
-  if (rec.interval_width > options.interval_c) {
+  if (rec.interval_width > kIntervalC) {
     g = worse(g, Grade::kC);
-  } else if (rec.interval_width > options.interval_b) {
+  } else if (rec.interval_width > kIntervalB) {
     g = worse(g, Grade::kB);
   }
   if (!rec.demotions.empty() || !rec.notes.empty()) {
@@ -170,7 +169,7 @@ Grade grade_prediction(const PredictionGuardRecord& rec,
     for (const auto& f : rec.flags) {
       max_distance = std::max(max_distance, f.distance);
     }
-    g = worse(g, max_distance > options.far ? Grade::kC : Grade::kB);
+    g = worse(g, max_distance > kFarDistance ? Grade::kC : Grade::kB);
   }
   if (!rec.clamps.empty()) g = worse(g, Grade::kC);
   return g;
@@ -199,26 +198,6 @@ DomainGuard DomainGuard::load(std::istream& is) {
     BF_CHECK_MSG(r.lo <= r.hi, "bf_hull: inverted range for " << r.name);
   }
   return g;
-}
-
-void save_options(std::ostream& os, const GuardOptions& options) {
-  os.precision(17);
-  os << "bf_guard_options 2\n";
-  os << options.margin << ' ' << options.far << ' ' << options.interval_b
-     << ' ' << options.interval_c << ' ' << options.demote_slack << ' '
-     << options.monotone_floor << ' ' << options.cap_tolerance << ' '
-     << options.cv_folds << "\n";
-}
-
-GuardOptions load_options(std::istream& is) {
-  read_format_version(is, "bf_guard_options", 2);
-  GuardOptions o;
-  BF_CHECK_MSG(static_cast<bool>(is >> o.margin >> o.far >> o.interval_b >>
-                                 o.interval_c >> o.demote_slack >>
-                                 o.monotone_floor >> o.cap_tolerance >>
-                                 o.cv_folds),
-               "malformed bf_guard_options record");
-  return o;
 }
 
 }  // namespace bf::guard

@@ -46,30 +46,29 @@ struct GuardOptions {
   /// Hull slack as a fraction of the per-feature training span; queries
   /// within [lo - margin*span, hi + margin*span] are not flagged.
   double margin = 0.1;
-  /// Extrapolation distance (in span units beyond the margined hull)
-  /// up to which a flagged query still grades B; beyond it grades C.
-  double far = 0.5;
-  /// Relative per-tree interval width ((hi-lo)/|mean|) thresholds:
-  /// above interval_b the grade drops to B, above interval_c to C.
-  /// Calibrated on the paper-sized sweeps (tens of log-spaced rows),
-  /// where tree predictions hop between adjacent training sizes and an
-  /// 80% band of ~1-2x the mean is the healthy in-hull regime.
-  double interval_b = 1.0;
-  double interval_c = 2.5;
-  /// Slack factor of the sanity envelope around the power-law
-  /// extrapolation / training maximum; a chain model predicting outside
-  /// it is demoted.
-  double demote_slack = 32.0;
-  /// A monotone (non-decreasing) counter queried beyond the training
-  /// maximum must predict at least this fraction of its value at the
-  /// largest training size, or the model is demoted.
-  double monotone_floor = 0.25;
-  /// Physical-cap violations within this relative tolerance are ignored
-  /// (well-fitted models sit within a few percent of hard caps).
-  double cap_tolerance = 0.02;
-  /// Folds for the per-counter chain cross-validation ranking.
-  std::size_t cv_folds = 5;
 };
+
+/// Extrapolation distance (in span units beyond the margined hull) up to
+/// which a flagged query still grades B; beyond it grades C.
+inline constexpr double kFarDistance = 0.5;
+/// Relative per-tree interval width ((hi-lo)/|mean|) thresholds: above
+/// kIntervalB the grade drops to B, above kIntervalC to C. Calibrated on
+/// the paper-sized sweeps (tens of log-spaced rows), where tree
+/// predictions hop between adjacent training sizes and an 80% band of
+/// ~1-2x the mean is the healthy in-hull regime.
+inline constexpr double kIntervalB = 1.0;
+inline constexpr double kIntervalC = 2.5;
+/// Slack factor of the sanity envelope around the power-law
+/// extrapolation / training maximum; a chain model predicting outside it
+/// is demoted.
+inline constexpr double kDemoteSlack = 32.0;
+/// A monotone (non-decreasing) counter queried beyond the training
+/// maximum must predict at least this fraction of its value at the
+/// largest training size, or the model is demoted.
+inline constexpr double kMonotoneFloor = 0.25;
+/// Physical-cap violations within this relative tolerance are ignored
+/// (well-fitted models sit within a few percent of hard caps).
+inline constexpr double kCapTolerance = 0.02;
 
 /// Observed training range of one feature.
 struct FeatureRange {
@@ -126,7 +125,7 @@ struct CounterGuardRecord {
   std::string counter;
   std::string chosen;  ///< primary model ("glm", "mars", ...)
   double r2 = 0.0;
-  /// K-fold CV RMSE of the primary model (0 when the chain was not fit).
+  /// K-fold CV RMSE of the primary model.
   double cv_rmse = 0.0;
   /// Demotion order, primary first.
   std::vector<std::string> chain;
@@ -171,12 +170,6 @@ struct GuardReport {
 };
 
 /// Grade one prediction record from its accumulated evidence.
-Grade grade_prediction(const PredictionGuardRecord& rec,
-                       const GuardOptions& options);
-
-/// Serialise/restore the guard thresholds so a reloaded .bfmodel bundle
-/// grades predictions exactly as the exporting predictor did.
-void save_options(std::ostream& os, const GuardOptions& options);
-GuardOptions load_options(std::istream& is);
+Grade grade_prediction(const PredictionGuardRecord& rec);
 
 }  // namespace bf::guard

@@ -17,6 +17,11 @@ namespace {
 // steps; counters never legitimately exceed e^60.
 double safe_exp(double v) { return std::exp(std::clamp(v, -60.0, 60.0)); }
 
+/// IRLS stops after this many steps, or earlier once no coefficient moves
+/// by more than kIrlsTol.
+constexpr int kMaxIrlsIter = 50;
+constexpr double kIrlsTol = 1e-9;
+
 }  // namespace
 
 std::vector<double> Glm::expand_basis(const double* row,
@@ -71,7 +76,7 @@ void Glm::fit(const linalg::Matrix& x, const std::vector<double>& y,
     coef_ = linalg::qr_least_squares(design, log_y).coefficients;
 
     std::vector<double> eta(n);
-    for (int iter = 0; iter < params_.max_irls_iter; ++iter) {
+    for (int iter = 0; iter < kMaxIrlsIter; ++iter) {
       for (std::size_t i = 0; i < n; ++i) {
         eta[i] = 0.0;
         for (std::size_t j = 0; j < pb; ++j) {
@@ -96,7 +101,7 @@ void Glm::fit(const linalg::Matrix& x, const std::vector<double>& y,
         delta = std::max(delta, std::fabs(sol.coefficients[j] - coef_[j]));
       }
       coef_ = sol.coefficients;
-      if (delta < params_.irls_tol) break;
+      if (delta < kIrlsTol) break;
     }
   }
 
@@ -142,24 +147,22 @@ void Glm::save(std::ostream& os) const {
   // An unfitted GLM (coef count 0) is a legal record: counter-model
   // entries only fit the members their chain actually uses.
   os.precision(17);
-  os << "bf_glm 1\n";
+  os << "bf_glm 2\n";
   os << (params_.link == LinkFunction::kLog ? 1 : 0) << ' ' << params_.degree
-     << ' ' << (params_.log_terms ? 1 : 0) << ' ' << params_.max_irls_iter
-     << ' ' << params_.irls_tol << "\n";
+     << ' ' << (params_.log_terms ? 1 : 0) << "\n";
   os << num_inputs_ << ' ' << coef_.size();
   for (const double c : coef_) os << ' ' << c;
   os << ' ' << residual_deviance_ << ' ' << null_deviance_ << "\n";
 }
 
 Glm Glm::load(std::istream& is) {
-  read_format_version(is, "bf_glm", 1);
+  read_format_version(is, "bf_glm", 2);
   Glm g;
   int link = 0;
   int log_terms = 0;
   std::size_t ncoef = 0;
   BF_CHECK_MSG(static_cast<bool>(is >> link >> g.params_.degree >> log_terms >>
-                                 g.params_.max_irls_iter >>
-                                 g.params_.irls_tol >> g.num_inputs_ >> ncoef),
+                                 g.num_inputs_ >> ncoef),
                "malformed bf_glm record");
   BF_CHECK_MSG(link == 0 || link == 1, "bf_glm: bad link code " << link);
   g.params_.link = link == 1 ? LinkFunction::kLog : LinkFunction::kIdentity;

@@ -28,8 +28,6 @@ struct GlmParams {
   /// Also include log2(x+1) of each input in the basis — counters are
   /// frequently polynomial in the problem size's logarithm.
   bool log_terms = true;
-  int max_irls_iter = 50;
-  double irls_tol = 1e-9;
 };
 
 /// A fitted (generalised) linear model y ~ basis(x).

@@ -13,6 +13,26 @@
 #include "ml/metrics.hpp"
 
 namespace bf::ml {
+namespace {
+
+/// Stop the forward pass early when RSS improves by less than this
+/// fraction of the response sum of squares.
+constexpr double kMinRssImprovement = 1e-5;
+/// Candidate knots per variable (quantiles of observed values).
+constexpr std::size_t kMaxKnotsPerVar = 32;
+
+/// GCV criterion. `penalty` is the knot penalty per hinge pair.
+double gcv_of(double rss, std::size_t n, std::size_t n_terms,
+              double penalty) {
+  // Effective parameters: terms + penalty * knots (knots ~ terms - 1).
+  const double eff = static_cast<double>(n_terms) +
+                     penalty * 0.5 * static_cast<double>(n_terms - 1);
+  const double nn = static_cast<double>(n);
+  const double denom = 1.0 - std::min(eff / nn, 0.99);
+  return rss / nn / (denom * denom);
+}
+
+}  // namespace
 
 double Mars::eval_term(const Term& term, const double* row) const {
   double v = 1.0;
@@ -42,18 +62,6 @@ linalg::Matrix Mars::build_design(const linalg::Matrix& x,
   return d;
 }
 
-double Mars::gcv_of(double rss, std::size_t n, std::size_t n_terms) const {
-  // Effective parameters: terms + penalty * knots (knots ~ terms - 1).
-  const double penalty =
-      params_.penalty >= 0 ? params_.penalty
-                           : (params_.max_degree > 1 ? 3.0 : 2.0);
-  const double eff = static_cast<double>(n_terms) +
-                     penalty * 0.5 * static_cast<double>(n_terms - 1);
-  const double nn = static_cast<double>(n);
-  const double denom = 1.0 - std::min(eff / nn, 0.99);
-  return rss / nn / (denom * denom);
-}
-
 void Mars::fit(const linalg::Matrix& x, const std::vector<double>& y,
                const MarsParams& params) {
   const std::size_t n = x.rows();
@@ -61,8 +69,9 @@ void Mars::fit(const linalg::Matrix& x, const std::vector<double>& y,
   BF_CHECK_MSG(n == y.size(), "X/y row mismatch");
   BF_CHECK_MSG(n >= 4, "MARS needs at least 4 observations");
   BF_CHECK_MSG(p >= 1, "MARS needs at least one input");
-  params_ = params;
   num_inputs_ = p;
+  // earth's default GCV knot penalty: 3 with interactions, 2 without.
+  const double penalty = params.max_degree > 1 ? 3.0 : 2.0;
 
   // Candidate knots per variable: distinct quantiles of observed values,
   // excluding the extremes (a hinge at the max/min is degenerate).
@@ -73,7 +82,7 @@ void Mars::fit(const linalg::Matrix& x, const std::vector<double>& y,
     vals.erase(std::unique(vals.begin(), vals.end()), vals.end());
     if (vals.size() <= 2) continue;
     const std::size_t interior = vals.size() - 2;
-    const std::size_t take = std::min(params.max_knots_per_var, interior);
+    const std::size_t take = std::min(kMaxKnotsPerVar, interior);
     for (std::size_t k = 0; k < take; ++k) {
       const std::size_t idx =
           1 + (k * interior) / take;  // spread across the interior
@@ -145,7 +154,7 @@ void Mars::fit(const linalg::Matrix& x, const std::vector<double>& y,
     }
 
     if (!found) break;
-    if ((best_rss - round_best_rss) < params.min_rss_improvement * y_ss) {
+    if ((best_rss - round_best_rss) < kMinRssImprovement * y_ss) {
       break;
     }
     Term pos = terms[best_parent];
@@ -172,7 +181,7 @@ void Mars::fit(const linalg::Matrix& x, const std::vector<double>& y,
   auto [cur_coef, cur_rss] = fit_subset(current);
   std::vector<Term> best_terms = current;
   std::vector<double> best_coef = cur_coef;
-  double best_gcv = gcv_of(cur_rss, n, current.size());
+  double best_gcv = gcv_of(cur_rss, n, current.size(), penalty);
   double best_terms_rss = cur_rss;
 
   while (current.size() > 1) {
@@ -187,7 +196,7 @@ void Mars::fit(const linalg::Matrix& x, const std::vector<double>& y,
         if (u != t) subset.push_back(current[u]);
       }
       const auto [c, rss] = fit_subset(subset);
-      const double g = gcv_of(rss, n, subset.size());
+      const double g = gcv_of(rss, n, subset.size(), penalty);
       if (g < round_gcv) {
         round_gcv = g;
         drop = t;
@@ -263,10 +272,7 @@ void Mars::save(std::ostream& os) const {
   // An unfitted model (0 terms) is a legal record: counter-model entries
   // only fit the members their chain actually uses.
   os.precision(17);
-  os << "bf_mars 1\n";
-  os << params_.max_terms << ' ' << params_.max_degree << ' '
-     << params_.penalty << ' ' << params_.min_rss_improvement << ' '
-     << params_.max_knots_per_var << "\n";
+  os << "bf_mars 2\n";
   os << num_inputs_ << ' ' << terms_.size() << ' ' << gcv_ << ' '
      << r_squared_ << "\n";
   for (std::size_t t = 0; t < terms_.size(); ++t) {
@@ -279,15 +285,12 @@ void Mars::save(std::ostream& os) const {
 }
 
 Mars Mars::load(std::istream& is) {
-  read_format_version(is, "bf_mars", 1);
+  read_format_version(is, "bf_mars", 2);
   Mars m;
   std::size_t n_terms = 0;
-  BF_CHECK_MSG(
-      static_cast<bool>(is >> m.params_.max_terms >> m.params_.max_degree >>
-                        m.params_.penalty >> m.params_.min_rss_improvement >>
-                        m.params_.max_knots_per_var >> m.num_inputs_ >>
-                        n_terms >> m.gcv_ >> m.r_squared_),
-      "malformed bf_mars record");
+  BF_CHECK_MSG(static_cast<bool>(is >> m.num_inputs_ >> n_terms >> m.gcv_ >>
+                                 m.r_squared_),
+               "malformed bf_mars record");
   BF_CHECK_MSG(n_terms <= 100'000, "bf_mars: implausible term count");
   m.terms_.resize(n_terms);
   m.coef_.resize(n_terms);

@@ -24,14 +24,6 @@ struct MarsParams {
   std::size_t max_terms = 21;
   /// Maximum interaction degree (1 = additive, 2 = pairwise products).
   int max_degree = 2;
-  /// GCV knot penalty per hinge pair (earth's default penalty is 3 when
-  /// degree > 1, 2 otherwise; we follow that when < 0).
-  double penalty = -1.0;
-  /// Stop the forward pass early when RSS improves by less than this
-  /// fraction of the response sum of squares.
-  double min_rss_improvement = 1e-5;
-  /// Candidate knots per variable (quantiles of observed values).
-  std::size_t max_knots_per_var = 32;
 };
 
 class Mars {
@@ -73,9 +65,7 @@ class Mars {
   double eval_term(const Term& term, const double* row) const;
   linalg::Matrix build_design(const linalg::Matrix& x,
                               const std::vector<Term>& terms) const;
-  double gcv_of(double rss, std::size_t n, std::size_t n_terms) const;
 
-  MarsParams params_;
   std::size_t num_inputs_ = 0;
   std::vector<Term> terms_;
   std::vector<double> coef_;

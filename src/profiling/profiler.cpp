@@ -197,9 +197,15 @@ ProfileResult Profiler::profile(const Workload& workload,
       metrics["power_total_w"] = pb.total_w;
       metrics["energy_j"] = pb.energy_j;
     }
+    // Raw events at engine tolerance first: many conservation laws
+    // (transactions per request, DRAM fills per L2 miss, warp slots)
+    // reference counters the derived metric set does not carry.
+    std::vector<check::Violation> violations =
+        check::validate(agg.counters, device.arch());
+    const auto derived = check::validate_metrics(metrics, device.arch());
+    violations.insert(violations.end(), derived.begin(), derived.end());
     check::throw_if_errors(
-        check::validate_metrics(metrics, device.arch()),
-        "profiled run of '" + workload.name + "' on " + out.arch);
+        violations, "profiled run of '" + workload.name + "' on " + out.arch);
   }
   return out;
 }

@@ -44,8 +44,9 @@ struct ProfilerOptions {
   double time_noise_sd = 0.02;
   double counter_noise_sd = 0.003;
   std::uint64_t seed = 1234;
-  /// Validate every profiled metric set against the bf::check counter
-  /// invariants (measured tolerance); throws bf::Error on violation.
+  /// Validate every run against the bf::check counter invariants: the
+  /// raw engine counters at engine tolerance and the profiled metric set
+  /// at measured tolerance; throws bf::Error on violation.
   bool validate = false;
 };
 

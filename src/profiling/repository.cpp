@@ -5,6 +5,7 @@
 #include <sstream>
 #include <system_error>
 
+#include "check/check.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/io.hpp"
@@ -150,14 +151,10 @@ std::optional<ml::Dataset> RunRepository::load(const std::string& workload,
     } catch (const Error&) {
     }
     if (spec != nullptr) {
-      const auto violations =
-          check::validate_dataset(ds, *spec, options_.check_options);
-      if (!violations.empty() && options_.quarantine_on_invalid) {
-        return handle_corrupt(
-            path, "counter-invariant violations:\n" +
-                      check::to_string(violations));
-      }
-      check::throw_if_errors(violations, "repository sweep " + path);
+      // Invariant-breaking data is semantically wrong rather than
+      // damaged, so it fails loudly instead of being quarantined.
+      check::throw_if_errors(check::validate_dataset(ds, *spec),
+                             "repository sweep " + path);
     }
   }
   return ds;

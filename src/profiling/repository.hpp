@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "check/check.hpp"
 #include "ml/dataset.hpp"
 
 namespace bf::profiling {
@@ -27,17 +26,11 @@ struct RepositoryOptions {
   /// breaks a conservation law would silently poison every model trained
   /// from it, so this is on by default.
   bool validate_on_load = true;
-  check::Options check_options = check::measured_tolerance();
   /// Quarantine corrupt files (bad checksum, truncated, unparseable)
   /// instead of throwing: the entry is renamed to "<entry>.quarantined"
   /// and load() returns nullopt so the sweep is recollected. When false,
   /// corruption throws bf::Error (strict mode).
   bool quarantine_on_corrupt = true;
-  /// Extend quarantine semantics to counter-invariant violations too
-  /// (validate_on_load failures). Off by default: invariant-breaking
-  /// data is semantically wrong rather than damaged, and deserves a loud
-  /// failure unless the caller opted into degraded operation.
-  bool quarantine_on_invalid = false;
 };
 
 class RunRepository {

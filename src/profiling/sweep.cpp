@@ -214,10 +214,13 @@ ml::Dataset sweep(const Workload& workload, const gpusim::Device& device,
   }
   const double success = static_cast<double>(rep.sizes_ok) /
                          static_cast<double>(sizes.size());
+  // The full report keeps each failed size's last error (e.g. the
+  // violated counter rules), which the summary alone would drop.
   BF_CHECK_MSG(success + 1e-12 >= options.min_success_fraction,
-               "sweep of '" << workload.name << "' degraded below policy: "
-                            << rep.summary() << " (min_success_fraction="
-                            << options.min_success_fraction << ")");
+               "sweep of '" << workload.name
+                            << "' degraded below policy (min_success_fraction="
+                            << options.min_success_fraction
+                            << "): " << rep.to_text());
   return ds;
 }
 

@@ -2,7 +2,7 @@
 //
 // A bundle serialises everything one problem-scaling prediction needs:
 // the reduced random forest, the per-counter fallback chains, the
-// DomainGuard training hull, guard thresholds, sanity envelopes and the
+// DomainGuard training hull (with its margin), sanity envelopes and the
 // architecture whose physical caps clamp predictions — plus provenance
 // (who trained it, with which build) and a counter-name schema. The
 // on-disk format is a three-line header
@@ -34,7 +34,7 @@ namespace bf::serve {
 /// readable version; a bundle written by an older build is rejected (and
 /// quarantined) rather than converted — re-export it with
 /// `bf_analyze --export-model`.
-inline constexpr int kBundleFormatVersion = 5;
+inline constexpr int kBundleFormatVersion = 6;
 
 /// File suffix of model bundles ("reduce1.bfmodel").
 inline constexpr const char* kBundleSuffix = ".bfmodel";

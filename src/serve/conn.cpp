@@ -28,6 +28,10 @@ std::int64_t now_ms() {
 /// enough that a freed descriptor is picked up promptly.
 constexpr std::int64_t kAcceptBackoffMs = 50;
 
+/// Per-connection cap on buffered unsent reply bytes; a connection over
+/// the cap is not read from until it drains (backpressure).
+constexpr std::size_t kMaxWriteBuffer = 4u << 20;
+
 constexpr char kWakeStop = 's';
 constexpr char kWakeCompletion = 'c';
 
@@ -226,7 +230,7 @@ void NetServer::handle_readable(Conn& conn) {
   while (!conn.dead && !conn.read_closed) {
     // Backpressure: a client that does not read its replies stops being
     // read from until the write backlog drains below the cap.
-    if (conn.unsent() > options_.max_write_buffer) break;
+    if (conn.unsent() > kMaxWriteBuffer) break;
     const int r = read_some(conn.fd, buf, sizeof(buf));
     if (r > 0) {
       conn.last_activity_ms = now_ms();
@@ -446,8 +450,7 @@ int NetServer::run() {
     for (auto& [id, conn] : conns_) {
       if (conn->dead) continue;
       short events = 0;
-      if (!conn->read_closed &&
-          conn->unsent() <= options_.max_write_buffer) {
+      if (!conn->read_closed && conn->unsent() <= kMaxWriteBuffer) {
         events |= POLLIN;
       }
       if (conn->unsent() > 0) events |= POLLOUT;

@@ -69,9 +69,6 @@ struct NetServerOptions {
   int drain_ms = 5000;
   /// Worker threads running Server::handle_batch.
   std::size_t workers = 2;
-  /// Per-connection cap on buffered unsent reply bytes; a connection
-  /// over the cap is not read from until it drains (backpressure).
-  std::size_t max_write_buffer = 4u << 20;
   /// Cap on one request line (longer poisons the connection).
   std::size_t max_line = LineBuffer::kDefaultMaxLine;
   /// Exit after the first accepted connection closes (bf_serve --once).

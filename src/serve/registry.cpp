@@ -24,6 +24,11 @@ std::string now_utc() {
   return buf;
 }
 
+/// Relative tolerance of golden-probe canary validation. Bundle
+/// round-trips are bit-identical, so healthy reloads pass at any
+/// tolerance; the slack only absorbs float formatting in the probes.
+constexpr double kCanaryRtol = 1e-9;
+
 }  // namespace
 
 const char* to_string(ReloadResult::Status status) {
@@ -144,7 +149,7 @@ std::shared_ptr<const LoadedModel> ModelRegistry::get(
       const std::string path = path_for(name);
       BundleFile staged = load_bundle_file(path);
       std::string why;
-      if (!validate_canary(staged.bundle, policy_.canary_rtol, &why)) {
+      if (!validate_canary(staged.bundle, kCanaryRtol, &why)) {
         quarantine_bundle(path);
         BF_FAIL("model " << name << " failed canary validation: " << why);
       }
@@ -233,7 +238,7 @@ ReloadResult ModelRegistry::reload(const std::string& name) {
       return {ReloadResult::Status::kUnchanged, current->generation, ""};
     }
     std::string why;
-    if (!validate_canary(staged.bundle, policy_.canary_rtol, &why)) {
+    if (!validate_canary(staged.bundle, kCanaryRtol, &why)) {
       quarantine_bundle(path);
       std::lock_guard<std::mutex> lock(mu_);
       Lifecycle& lc = lifecycle_[name];

@@ -62,10 +62,6 @@ struct ReloadPolicy {
   /// retries the disk — the pre-supervision behaviour, used by tests).
   std::uint64_t backoff_initial_ms = 100;
   std::uint64_t backoff_max_ms = 5000;
-  /// Relative tolerance of golden-probe canary validation. Bundle
-  /// round-trips are bit-identical, so healthy reloads pass at any
-  /// tolerance; the slack only absorbs float formatting in the probes.
-  double canary_rtol = 1e-9;
 };
 
 struct ReloadResult {

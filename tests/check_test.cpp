@@ -14,7 +14,6 @@
 #include "common/error.hpp"
 #include "gpusim/arch.hpp"
 #include "gpusim/engine.hpp"
-#include "kernels/matmul.hpp"
 #include "profiling/profiler.hpp"
 #include "profiling/repository.hpp"
 #include "profiling/sweep.hpp"
@@ -226,14 +225,30 @@ TEST(CheckEngine, ProfilerValidateOptionAccepts) {
   EXPECT_NO_THROW(profiler.profile(workload, device, 1 << 14));
 }
 
-TEST(CheckEngine, EngineHookValidatesRuns) {
-  check::install_engine_validator();
-  gpusim::RunOptions opts;
-  opts.validate_counters = true;
-  const gpusim::Device device(gpusim::arch_by_name("k20m"));
-  const kernels::MatMulKernel kernel(64);
-  EXPECT_NO_THROW(device.run(kernel, opts));
-  check::uninstall_engine_validator();
+TEST(CheckEngine, ProfilerValidateCatchesRawCounterViolation) {
+  // More L2 read misses than DRAM read segments: no derived metric
+  // carries l2_read_miss, so only the raw-counter rules can see it.
+  const profiling::Workload vec_add = profiling::workload_by_name("vecAdd");
+  const profiling::Workload broken{
+      "vecAdd", [&vec_add](const gpusim::Device& device, double size) {
+        gpusim::AggregateResult agg = vec_add.run(device, size);
+        agg.counters.set(
+            Event::kL2ReadMiss,
+            2.0 * agg.counters.get(Event::kDramReadTransactions) + 1.0);
+        return agg;
+      }};
+  profiling::ProfilerOptions options;
+  options.validate = true;
+  profiling::Profiler profiler(options);
+  const gpusim::Device device(gpusim::arch_by_name("gtx580"));
+  try {
+    profiler.profile(broken, device, 1 << 14);
+    ADD_FAILURE() << "raw-counter violation passed validation";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("dram_reads_cover_l2_miss"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- datasets and the run repository ----

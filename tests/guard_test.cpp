@@ -8,10 +8,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/counter_models.hpp"
 #include "core/predictor.hpp"
 #include "gpusim/arch.hpp"
@@ -81,31 +83,30 @@ TEST(DomainGuard, CheckRowCoversEveryTrackedColumn) {
 // ---- grading ----
 
 TEST(GradePrediction, EvidenceMapsToGrades) {
-  const guard::GuardOptions opts;  // interval_b=1.0, interval_c=2.5, far=0.5
   guard::PredictionGuardRecord rec;
-  EXPECT_EQ(guard::grade_prediction(rec, opts), guard::Grade::kA);
+  EXPECT_EQ(guard::grade_prediction(rec), guard::Grade::kA);
 
-  rec.interval_width = 0.6;
-  EXPECT_EQ(guard::grade_prediction(rec, opts), guard::Grade::kA);
-  rec.interval_width = 1.2;
-  EXPECT_EQ(guard::grade_prediction(rec, opts), guard::Grade::kB);
-  rec.interval_width = 3.0;
-  EXPECT_EQ(guard::grade_prediction(rec, opts), guard::Grade::kC);
+  rec.interval_width = 0.6 * guard::kIntervalB;
+  EXPECT_EQ(guard::grade_prediction(rec), guard::Grade::kA);
+  rec.interval_width = 1.2 * guard::kIntervalB;
+  EXPECT_EQ(guard::grade_prediction(rec), guard::Grade::kB);
+  rec.interval_width = 1.2 * guard::kIntervalC;
+  EXPECT_EQ(guard::grade_prediction(rec), guard::Grade::kC);
 
   rec = {};
   rec.demotions.push_back("c: mars -> glm (non-finite)");
-  EXPECT_EQ(guard::grade_prediction(rec, opts), guard::Grade::kB);
+  EXPECT_EQ(guard::grade_prediction(rec), guard::Grade::kB);
 
   rec = {};
   rec.extrapolated = true;
-  rec.flags.push_back({"size", 1e7, 0.3});
-  EXPECT_EQ(guard::grade_prediction(rec, opts), guard::Grade::kB);
-  rec.flags[0].distance = 0.7;  // beyond `far`
-  EXPECT_EQ(guard::grade_prediction(rec, opts), guard::Grade::kC);
+  rec.flags.push_back({"size", 1e7, 0.6 * guard::kFarDistance});
+  EXPECT_EQ(guard::grade_prediction(rec), guard::Grade::kB);
+  rec.flags[0].distance = 1.4 * guard::kFarDistance;
+  EXPECT_EQ(guard::grade_prediction(rec), guard::Grade::kC);
 
   rec = {};
   rec.clamps.push_back("ipc: 9 -> 2 (IPC <= issue width)");
-  EXPECT_EQ(guard::grade_prediction(rec, opts), guard::Grade::kC);
+  EXPECT_EQ(guard::grade_prediction(rec), guard::Grade::kC);
 
   EXPECT_EQ(guard::worse(guard::Grade::kA, guard::Grade::kC),
             guard::Grade::kC);
@@ -202,9 +203,7 @@ TEST(CounterModelChain, ChainIsFitAndRankedByCv) {
   ds.add_column("size", sizes);
   ds.add_column("flops", y);
 
-  core::CounterModelOptions opts;
-  opts.fit_fallback_chain = true;
-  const auto models = core::CounterModels::fit(ds, {"flops"}, opts);
+  const auto models = core::CounterModels::fit(ds, {"flops"});
   ASSERT_EQ(models.num_entries(), 1u);
   EXPECT_EQ(models.entry_counter(0), "flops");
 
@@ -220,6 +219,18 @@ TEST(CounterModelChain, ChainIsFitAndRankedByCv) {
   }
   EXPECT_EQ(models.info()[0].chain, chain);
   EXPECT_TRUE(std::isfinite(models.info()[0].cv_rmse));
+
+  // The guarded path takes its envelope and terminal fallback from the
+  // power law, so a saved chain cut down to its primary must not load.
+  std::ostringstream os;
+  models.save(os);
+  std::string text = os.str();
+  const std::size_t chain_at = text.find('\n', text.find("\nflops ") + 1) + 1;
+  ASSERT_EQ(text.substr(chain_at, 2), "4 ");
+  text.replace(chain_at, text.find('\n', chain_at) - chain_at,
+               "1 " + std::to_string(static_cast<int>(chain.front())));
+  std::istringstream is(text);
+  EXPECT_THROW((void)core::CounterModels::load(is), Error);
 
   // The power-law fallback extrapolates the law through the two largest
   // training points, far beyond the training range.
@@ -281,9 +292,7 @@ TEST(CounterModelChain, FallbackChainRecordsPrimaryCvError) {
   ds.add_column("size", sizes);
   ds.add_column("bytes", y);
 
-  core::CounterModelOptions opts;
-  opts.fit_fallback_chain = true;
-  const auto models = core::CounterModels::fit(ds, {"bytes"}, opts);
+  const auto models = core::CounterModels::fit(ds, {"bytes"});
   const auto& info = models.info()[0];
   ASSERT_EQ(info.chain.size(), 4u);
   EXPECT_EQ(info.chain.front(), info.chosen);

@@ -182,19 +182,19 @@ TEST_F(PowerArtifactTest, PreviousBundleVersionIsRejected) {
                       shared_sweep().num_rows(), shared_time());
   auto content = read_file(bundle_path("plain"));
   ASSERT_TRUE(content.has_value());
-  ASSERT_EQ(content->rfind("bfmodel 5\n", 0), 0u);
+  ASSERT_EQ(content->rfind("bfmodel 6\n", 0), 0u);
   // Powerless bundles state the absence of the power record explicitly.
   EXPECT_NE(content->find("\npower 0\n"), std::string::npos);
 
   std::string old = *content;
-  old.replace(0, std::string("bfmodel 5").size(), "bfmodel 4");
+  old.replace(0, std::string("bfmodel 6").size(), "bfmodel 5");
   try {
     serve::bundle_from_string(old, "test");
-    ADD_FAILURE() << "bfmodel 4 bundle loaded";
+    ADD_FAILURE() << "bfmodel 5 bundle loaded";
   } catch (const Error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("format_version 4"), std::string::npos) << what;
-    EXPECT_NE(what.find("bfmodel 5"), std::string::npos) << what;
+    EXPECT_NE(what.find("format_version 5"), std::string::npos) << what;
+    EXPECT_NE(what.find("bfmodel 6"), std::string::npos) << what;
   }
 }
 

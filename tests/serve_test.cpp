@@ -199,7 +199,7 @@ TEST_F(ServeTest, BadMagicAndOtherVersionsAreRejected) {
   const std::string content = *read_file(bundle_path("reduce1"));
   EXPECT_NO_THROW(serve::bundle_from_string(content, "t"));
   // Every past vintage and a future one: exactly one version is read.
-  for (const int version : {1, 2, 3, 4, serve::kBundleFormatVersion + 1}) {
+  for (const int version : {1, 2, 3, 4, 5, serve::kBundleFormatVersion + 1}) {
     EXPECT_THROW(
         serve::bundle_from_string(with_header_version(content, version), "t"),
         Error)
@@ -209,17 +209,18 @@ TEST_F(ServeTest, BadMagicAndOtherVersionsAreRejected) {
 
 TEST_F(ServeTest, PreviousRecordVersionsAreRejected) {
   // The records nested in a bundle payload read exactly one version too:
-  // a bf_psp 1 stream (no response line) must not parse.
+  // a bf_psp 2 stream must not parse.
   std::stringstream ss;
   trained_predictor().save(ss);
-  const std::string current = "bf_psp 2\nresponse time_ms\n";
-  ASSERT_EQ(ss.str().rfind(current, 0), 0u);
-  std::stringstream v1("bf_psp 1\n" + ss.str().substr(current.size()));
+  std::string previous = ss.str();
+  ASSERT_EQ(previous.rfind("bf_psp 3\nresponse time_ms\n", 0), 0u);
+  previous.replace(0, std::string("bf_psp 3").size(), "bf_psp 2");
+  std::stringstream v2(previous);
   try {
-    core::ProblemScalingPredictor::load(v1);
-    ADD_FAILURE() << "bf_psp 1 stream loaded";
+    core::ProblemScalingPredictor::load(v2);
+    ADD_FAILURE() << "bf_psp 2 stream loaded";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("bf_psp format_version 1"),
+    EXPECT_NE(std::string(e.what()).find("bf_psp format_version 2"),
               std::string::npos)
         << e.what();
   }
@@ -258,9 +259,8 @@ TEST_F(ServeTest, PreviousRecordVersionsAreRejected) {
     at = end + 1;
   }
   const std::vector<std::string> magics = {
-      "bfmodel", "bf_bundle_meta", "bf_psp", "bf_guard_options", "bf_hull",
-      "bf_counter_models", "bf_glm", "bf_mars", "bf_model", "bf_flat_forest",
-      "bf_power"};
+      "bfmodel", "bf_bundle_meta", "bf_psp", "bf_hull", "bf_counter_models",
+      "bf_glm", "bf_mars", "bf_model", "bf_flat_forest", "bf_power"};
   ASSERT_EQ(first.size(), magics.size());
   for (const auto& magic : magics) ASSERT_EQ(first.count(magic), 1u) << magic;
 
@@ -333,7 +333,7 @@ TEST_F(ServeTest, RegistryQuarantinesPreviousVersionBundle) {
   // corrupt-bundle path into quarantine.
   export_named("old");
   const std::string path = bundle_path("old");
-  const std::string old = with_header_version(*read_file(path), 4);
+  const std::string old = with_header_version(*read_file(path), 5);
   std::ofstream(path, std::ios::binary | std::ios::trunc) << old;
   serve::ServerOptions options;
   options.model_dir = dir_.string();
@@ -343,8 +343,8 @@ TEST_F(ServeTest, RegistryQuarantinesPreviousVersionBundle) {
   EXPECT_FALSE(reply.find("ok")->boolean);
   EXPECT_EQ(reply.find("code")->str, "model_unavailable");
   const std::string error = reply.find("error")->str;
-  EXPECT_NE(error.find("format_version 4"), std::string::npos) << error;
-  EXPECT_NE(error.find("bfmodel 5"), std::string::npos) << error;
+  EXPECT_NE(error.find("format_version 5"), std::string::npos) << error;
+  EXPECT_NE(error.find("bfmodel 6"), std::string::npos) << error;
   EXPECT_FALSE(std::filesystem::exists(path));
   EXPECT_TRUE(std::filesystem::exists(path + ".quarantined"));
 }

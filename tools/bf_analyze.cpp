@@ -225,13 +225,16 @@ std::size_t run_check_mode(const Args& args, double lo, double hi,
     }
   } else {
     // Sweep the requested workload with validation live at every layer:
-    // the engine hook, the profiler, and the final dataset.
-    check::install_engine_validator();
+    // the raw and derived counters of each profiled run, then the final
+    // dataset.
     const profiling::Workload workload =
         profiling::workload_by_name(args.workload);
     const gpusim::Device device(gpusim::arch_by_name(args.arch));
     profiling::SweepOptions sopts;
     sopts.profiler.validate = true;
+    // A violating run fails its size at once: a retry could hide a
+    // transient violation, and a deterministic one recurs anyway.
+    sopts.max_attempts = 1;
     const ml::Dataset ds = profiling::sweep(
         workload, device,
         profiling::log2_sizes(lo, hi, args.runs, multiple), sopts);
