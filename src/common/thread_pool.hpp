@@ -1,10 +1,11 @@
 // A small fixed-size thread pool with a parallel_for helper.
 //
-// Random-forest training, the per-SM simulation of a kernel launch and
-// the serve batch fan-out are embarrassingly parallel; parallel_for chunks
-// an index range over the pool. On a single-core host the pool
-// degenerates to serial execution with no threading overhead (size 1 runs
-// inline), so results and performance remain sensible everywhere.
+// Random-forest training, the per-counter model fits, the per-SM
+// simulation of a kernel launch and the serve batch fan-out are
+// embarrassingly parallel; parallel_for chunks an index range over the
+// pool. On a single-core host the pool degenerates to serial execution
+// with no threading overhead (size 1 runs inline), so results and
+// performance remain sensible everywhere.
 #pragma once
 
 #include <condition_variable>

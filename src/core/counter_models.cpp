@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/io.hpp"
+#include "common/thread_pool.hpp"
 #include "ml/cv.hpp"
 #include "ml/metrics.hpp"
 
@@ -97,6 +98,18 @@ PowerLaw fit_power_law(const std::vector<double>& xs,
   return pl;
 }
 
+/// Single exit point: a counter that was non-negative in training is a
+/// count/ratio/throughput and can never go negative, whatever model
+/// produced it.
+double exit_point(bool clamp_negative, double v, bool* negative_clamped) {
+  if (clamp_negative && v < 0.0) {
+    if (negative_clamped != nullptr) *negative_clamped = true;
+    return 0.0;
+  }
+  if (negative_clamped != nullptr) *negative_clamped = false;
+  return v;
+}
+
 }  // namespace
 
 const char* counter_model_name(CounterModelKind kind) {
@@ -127,12 +140,22 @@ CounterModels CounterModels::fit(const ml::Dataset& ds,
   const linalg::Matrix raw_x = ds.to_matrix(options.inputs);
   const linalg::Matrix x = transform_inputs(raw_x, options.log_inputs);
 
+  // The inputs themselves need no model: callers already hold them.
+  std::vector<std::string> modelled;
   for (const auto& counter : counters) {
-    // The inputs themselves need no model: callers already hold them.
-    if (std::find(options.inputs.begin(), options.inputs.end(), counter) !=
+    if (std::find(options.inputs.begin(), options.inputs.end(), counter) ==
         options.inputs.end()) {
-      continue;
+      modelled.push_back(counter);
     }
+  }
+  out.entries_.resize(modelled.size());
+  out.info_.resize(modelled.size());
+
+  // Each counter's fit (GLM, MARS, fallbacks, CV ranking) is a pure
+  // function of the dataset and the options and lands in its own slot,
+  // so the result does not depend on how the pool schedules the counters.
+  const auto fit_counter = [&](std::size_t k) {
+    const std::string& counter = modelled[k];
     const std::vector<double>& y_raw = ds.column(counter);
 
     Entry entry;
@@ -159,13 +182,17 @@ CounterModels CounterModels::fit(const ml::Dataset& ds,
 
     // Score both candidates on the *original* counter scale so the choice
     // (and the reported quality) reflects what the forest will consume.
+    // Scoring takes no fault draw: an armed divergence models a runaway
+    // at predict time, and fit-time draws would follow the schedule.
     const auto score = [&](CounterModelKind kind) {
       std::vector<double> pred(y_raw.size());
       std::vector<double> row(raw_x.cols());
       std::vector<double> scratch;
       for (std::size_t i = 0; i < y_raw.size(); ++i) {
         for (std::size_t j = 0; j < raw_x.cols(); ++j) row[j] = raw_x(i, j);
-        pred[i] = out.predict_entry_kind(entry, kind, row, scratch, nullptr);
+        pred[i] = exit_point(entry.clamp_negative,
+                             out.model_output(entry, kind, row, scratch),
+                             nullptr);
       }
       double rss = 0.0;
       for (std::size_t i = 0; i < y_raw.size(); ++i) {
@@ -304,9 +331,10 @@ CounterModels CounterModels::fit(const ml::Dataset& ds,
     }
     info.chain = entry.chain;
 
-    out.entries_.push_back(std::move(entry));
-    out.info_.push_back(std::move(info));
-  }
+    out.entries_[k] = std::move(entry);
+    out.info_[k] = std::move(info);
+  };
+  ThreadPool::global().parallel_for(0, modelled.size(), fit_counter);
   return out;
 }
 
@@ -316,11 +344,9 @@ double CounterModels::predict_entry(const Entry& entry,
   return predict_entry_kind(entry, entry.kind, inputs, scratch, nullptr);
 }
 
-double CounterModels::predict_entry_kind(const Entry& entry,
-                                         CounterModelKind kind,
-                                         std::span<const double> inputs,
-                                         std::vector<double>& scratch,
-                                         bool* negative_clamped) const {
+double CounterModels::model_output(const Entry& entry, CounterModelKind kind,
+                                   std::span<const double> inputs,
+                                   std::vector<double>& scratch) const {
   double v;
   if (kind == CounterModelKind::kPowerLaw) {
     PowerLaw pl;
@@ -344,21 +370,21 @@ double CounterModels::predict_entry_kind(const Entry& entry,
     }
     if (entry.log_response) v = std::exp2(std::clamp(v, -60.0, 60.0));
   }
+  return v;
+}
+
+double CounterModels::predict_entry_kind(const Entry& entry,
+                                         CounterModelKind kind,
+                                         std::span<const double> inputs,
+                                         std::vector<double>& scratch,
+                                         bool* negative_clamped) const {
+  double v = model_output(entry, kind, inputs, scratch);
   if (fault::should_fire(fault::points::kCounterModelDiverge)) {
     // Simulated runaway extrapolation: the guard's sanity envelope must
     // catch this and demote down the chain.
     v *= 1e6;
   }
-  // Single exit point: a counter that was non-negative in training is a
-  // count/ratio/throughput and can never go negative, whatever model
-  // produced it.
-  if (entry.clamp_negative && v < 0.0) {
-    if (negative_clamped != nullptr) *negative_clamped = true;
-    v = 0.0;
-  } else if (negative_clamped != nullptr) {
-    *negative_clamped = false;
-  }
-  return v;
+  return exit_point(entry.clamp_negative, v, negative_clamped);
 }
 
 double CounterModels::predict_kind(std::size_t entry, CounterModelKind kind,

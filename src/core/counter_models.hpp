@@ -139,6 +139,10 @@ class CounterModels {
 
   double predict_entry(const Entry& entry, std::span<const double> inputs,
                        std::vector<double>& scratch) const;
+  /// Model `kind`'s output on the counter scale, before the exit point.
+  double model_output(const Entry& entry, CounterModelKind kind,
+                      std::span<const double> inputs,
+                      std::vector<double>& scratch) const;
   double predict_entry_kind(const Entry& entry, CounterModelKind kind,
                             std::span<const double> inputs,
                             std::vector<double>& scratch,

@@ -32,18 +32,9 @@ Matrix Matrix::column(const std::vector<double>& v) {
   return m;
 }
 
-double& Matrix::operator()(std::size_t r, std::size_t c) {
-  BF_CHECK_MSG(r < rows_ && c < cols_,
-               "matrix index (" << r << "," << c << ") out of " << rows_
-                                << "x" << cols_);
-  return data_[r * cols_ + c];
-}
-
-double Matrix::operator()(std::size_t r, std::size_t c) const {
-  BF_CHECK_MSG(r < rows_ && c < cols_,
-               "matrix index (" << r << "," << c << ") out of " << rows_
-                                << "x" << cols_);
-  return data_[r * cols_ + c];
+void Matrix::index_error(std::size_t r, std::size_t c) const {
+  BF_FAIL("matrix index (" << r << "," << c << ") out of " << rows_ << "x"
+                           << cols_);
 }
 
 Matrix Matrix::transpose() const {

@@ -29,8 +29,16 @@ class Matrix {
   std::size_t cols() const { return cols_; }
   bool empty() const { return rows_ == 0 || cols_ == 0; }
 
-  double& operator()(std::size_t r, std::size_t c);
-  double operator()(std::size_t r, std::size_t c) const;
+  /// Checked element access, inline because the QR, IRLS and MARS loops
+  /// read every element through it; only the failure is out of line.
+  double& operator()(std::size_t r, std::size_t c) {
+    if (!(r < rows_ && c < cols_)) index_error(r, c);
+    return data_[r * cols_ + c];
+  }
+  double operator()(std::size_t r, std::size_t c) const {
+    if (!(r < rows_ && c < cols_)) index_error(r, c);
+    return data_[r * cols_ + c];
+  }
 
   /// Raw row pointer (row-major contiguous storage).
   double* row_ptr(std::size_t r) { return data_.data() + r * cols_; }
@@ -64,6 +72,9 @@ class Matrix {
   std::string to_string(int precision = 4) const;
 
  private:
+  /// Throws the out-of-range bf::Error for element (r, c).
+  [[noreturn]] void index_error(std::size_t r, std::size_t c) const;
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;

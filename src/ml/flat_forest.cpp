@@ -35,22 +35,34 @@ inline std::int64_t pack_lane(std::int32_t lane, std::int32_t node) {
          (static_cast<std::int64_t>(node) << 32);
 }
 
-/// Linear-interpolation quantile of an ascending, non-empty vector.
-double quantile(const std::vector<double>& sorted, double q) {
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t i = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(i);
-  if (i + 1 >= sorted.size()) return sorted.back();
-  return sorted[i] * (1.0 - frac) + sorted[i + 1] * frac;
-}
-
-/// The alpha band over ascending per-tree values around `mean`.
-PredictionInterval band(const std::vector<double>& sorted, double mean,
+/// The alpha band of the non-empty per-tree `values` around `mean`: the
+/// linear-interpolation quantiles of their ascending order. Only the two
+/// order statistics each quantile reads are placed (rank i by
+/// nth_element, rank i + 1 as the minimum above it), so the doubles are
+/// those of a full sort while `values` is left only partially ordered.
+PredictionInterval band(std::vector<double>& values, double mean,
                         double alpha) {
+  // values[from..) holds exactly the ranks from `from` up; the quantiles
+  // are read in ascending order, so each selection runs over that tail.
+  std::size_t from = 0;
+  const auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(values.size() - 1);
+    const std::size_t i = static_cast<std::size_t>(pos);
+    const double frac = pos - static_cast<double>(i);
+    const auto rank_i = values.begin() + static_cast<std::ptrdiff_t>(i);
+    if (i >= from) {
+      std::nth_element(values.begin() + static_cast<std::ptrdiff_t>(from),
+                       rank_i, values.end());
+    }
+    from = i + 1;
+    if (i + 1 >= values.size()) return *rank_i;
+    return *rank_i * (1.0 - frac) +
+           *std::min_element(rank_i + 1, values.end()) * frac;
+  };
   PredictionInterval out;
   out.mean = mean;
-  out.lo = quantile(sorted, alpha / 2.0);
-  out.hi = quantile(sorted, 1.0 - alpha / 2.0);
+  out.lo = quantile(alpha / 2.0);
+  out.hi = quantile(1.0 - alpha / 2.0);
   return out;
 }
 
@@ -316,10 +328,10 @@ PredictionInterval FlatForest::predict_interval(const double* row,
   row = sanitize_row(row, scratch.repaired.data());
   tree_leaf_values(row, scratch.tree_values.data(), scratch);
   std::vector<double>& preds = scratch.tree_values;
-  // Sum before sorting: the mean is built in tree order, like predict_row.
+  // Sum before selecting the band: the mean is built in tree order, like
+  // predict_row.
   double acc = 0.0;
   for (std::size_t t = 0; t < nt; ++t) acc += preds[t];
-  std::sort(preds.begin(), preds.end());
   return band(preds, acc / static_cast<double>(nt), alpha);
 }
 
@@ -407,6 +419,7 @@ std::vector<PartialDependenceInterval> FlatForest::partial_dependence_interval(
       for (std::size_t t = 0; t < nt; ++t) per_tree[t] += leaf[t];
     }
     for (auto& s : per_tree) s /= static_cast<double>(n);
+    // The curve's mean is summed in ascending order.
     std::sort(per_tree.begin(), per_tree.end());
     double mean = 0.0;
     for (const double s : per_tree) mean += s;

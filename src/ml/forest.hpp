@@ -30,8 +30,6 @@ struct ForestParams {
   /// Whether to compute permutation importance during fit.
   bool importance = true;
   std::uint64_t seed = 42;
-  /// Number of worker threads for training (0 = serial).
-  std::size_t threads = 0;
 };
 
 /// Per-variable importance record.

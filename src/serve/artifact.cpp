@@ -227,14 +227,17 @@ ModelBundle load_bundle(const std::string& path) {
 }
 
 BundleFile load_bundle_file(const std::string& path) {
-  BundleFile file = read_bundle_file(path);
-  // The stat snapshot is taken after the successful read: a writer that
-  // lands between read and stat makes the snapshot *newer* than the
-  // loaded content, so the watcher re-detects the change — staleness
-  // detection errs toward an extra reload, never a missed one.
+  // The stat snapshot is taken before the read: a writer that lands
+  // between stat and read makes the snapshot *older* than the loaded
+  // content, so the watcher re-detects the change — staleness detection
+  // errs toward an extra reload, never a missed one. (A snapshot taken
+  // after the read would describe a replacement whose content was never
+  // loaded, and the watcher would skip it for good.)
   std::uint64_t size_bytes = 0;
   std::int64_t mtime_ns = 0;
-  if (stat_bundle(path, &size_bytes, &mtime_ns)) {
+  const bool have_stat = stat_bundle(path, &size_bytes, &mtime_ns);
+  BundleFile file = read_bundle_file(path);
+  if (have_stat) {
     file.size_bytes = size_bytes;
     file.mtime_ns = mtime_ns;
   }

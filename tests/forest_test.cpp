@@ -6,10 +6,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
+#include "core/counter_models.hpp"
 #include "forest_reference.hpp"
+#include "ml/dataset.hpp"
 #include "ml/flat_forest.hpp"
 #include "ml/forest.hpp"
 #include "ml/metrics.hpp"
@@ -132,23 +138,57 @@ TEST(RandomForest, DeterministicForSeed) {
   }
 }
 
-TEST(RandomForest, ThreadedTrainingMatchesSerial) {
-  const auto data = make_synthetic(80, 8);
-  ForestParams serial = fast_params();
-  ForestParams threaded = fast_params();
-  threaded.threads = 4;
-  RandomForest a;
-  RandomForest b;
-  a.fit(data.x, data.y, {"s", "n"}, serial);
-  b.fit(data.x, data.y, {"s", "n"}, threaded);
-  // Per-tree RNGs are derived before dispatch, so the forests must be
-  // identical regardless of the thread count.
-  EXPECT_DOUBLE_EQ(a.oob_mse(), b.oob_mse());
-  linalg::Matrix probe(1, 2);
-  probe(0, 0) = 5.0;
-  probe(0, 1) = 5.0;
-  EXPECT_DOUBLE_EQ(reference_predict(a, probe.row_ptr(0)),
-                   reference_predict(b, probe.row_ptr(0)));
+TEST(RandomForest, FitsInsidePoolTasksMatchMainThreadFits) {
+  // Trees and counter models are fitted on ThreadPool::global(). Four
+  // whole fits run from inside pool tasks, so each one's parallel_for is
+  // nested in another; every result must match a fit made on the main
+  // thread bit for bit, whatever the pool's schedule.
+  const auto data = make_synthetic(120, 8);
+  Dataset sweep;
+  std::vector<double> sizes, quad, sat, noisy;
+  Rng rng(5);
+  for (int i = 0; i < 24; ++i) {
+    const double s = std::exp2(6.0 + 0.5 * i);
+    sizes.push_back(s);
+    quad.push_back(3.0 * s * s);
+    sat.push_back(150.0 * s / (s + 500.0));
+    noisy.push_back(s * rng.uniform(0.8, 1.2));
+  }
+  sweep.add_column("size", sizes);
+  sweep.add_column("quad", quad);
+  sweep.add_column("sat", sat);
+  sweep.add_column("noisy", noisy);
+
+  const auto forest_fit = [&] {
+    RandomForest rf;
+    rf.fit(data.x, data.y, {"s", "n"}, fast_params());
+    std::ostringstream os;
+    os.precision(17);  // round-trips every double
+    FlatForest::freeze(rf).save(os);
+    os << rf.oob_mse();
+    for (const auto& v : rf.importance()) {
+      os << ' ' << v.name << ' ' << v.pct_inc_mse << ' ' << v.mean_inc_mse
+         << ' ' << v.inc_node_purity;
+    }
+    return os.str();
+  };
+  const auto counter_fit = [&] {
+    std::ostringstream os;
+    core::CounterModels::fit(sweep, {"quad", "sat", "noisy"}).save(os);
+    return os.str();
+  };
+  const std::string forest_main = forest_fit();
+  const std::string counters_main = counter_fit();
+  std::vector<std::string> forests(4);
+  std::vector<std::string> counters(4);
+  ThreadPool::global().parallel_for(0, 4, [&](std::size_t i) {
+    forests[i] = forest_fit();
+    counters[i] = counter_fit();
+  });
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(forests[i], forest_main) << "nested fit " << i;
+    EXPECT_EQ(counters[i], counters_main) << "nested fit " << i;
+  }
 }
 
 TEST(RandomForest, PartialDependenceTracksMonotoneSignal) {

@@ -115,9 +115,17 @@ case "$STATS" in
   *'"promotions":0'*) fail "watcher promoted nothing under churn: $STATS" ;;
 esac
 
+# Replace the served bundle the way atomic_write_file and the loadgen
+# churn thread do: copy to a temp name, then rename over the target, so
+# the staleness watcher never reads a half-written bundle.
+swap_bundle() {
+  cp "$1" "$WORK/reduce1.bfmodel.tmp"
+  mv "$WORK/reduce1.bfmodel.tmp" "$WORK/reduce1.bfmodel"
+}
+
 # --- per-generation bit identity: restoring variant A must reproduce
 # the generation-1 prediction exactly, however many swaps later ---
-cp "$WORK/gen_a.bfmodel" "$WORK/reduce1.bfmodel"
+swap_bundle "$WORK/gen_a.bfmodel"
 wait_stats "\"checksum\":\"$CK_A\""
 R1=$(oneshot '{"model":"reduce1","size":65536}') \
     || fail "predict after churn failed"
@@ -130,7 +138,7 @@ case "$RPIN" in
   *'"resident":true'*) ;;
   *) fail "pin did not confirm residency: $RPIN" ;;
 esac
-cp "$WORK/gen_b.bfmodel" "$WORK/reduce1.bfmodel"
+swap_bundle "$WORK/gen_b.bfmodel"
 RRELOAD=$(oneshot '{"cmd":"reload","model":"reduce1"}') \
     || fail "reload verb failed while pinned"
 case "$RRELOAD" in
