@@ -61,16 +61,16 @@ void BM_Coalescer(benchmark::State& state) {
 }
 BENCHMARK(BM_Coalescer)->Arg(4)->Arg(128)->Arg(4096);
 
+// The overload the trace sink calls: bank geometry built once, as the
+// engine builds it once per SM.
 void BM_BankConflictCheck(benchmark::State& state) {
-  const ArchSpec arch = gtx580();
-  WarpInstr in;
-  in.op = Op::kLdShared;
-  in.addr = kernels::lane_addrs([&](int lane) {
+  const SharedBanks banks(gtx580());
+  const auto addr = kernels::lane_addrs([&](int lane) {
     return static_cast<std::uint32_t>(lane) *
            static_cast<std::uint32_t>(state.range(0));
   });
   for (auto _ : state) {
-    benchmark::DoNotOptimize(shared_access_passes(in, arch));
+    benchmark::DoNotOptimize(shared_access_passes(kFullMask, addr, banks));
   }
 }
 BENCHMARK(BM_BankConflictCheck)->Arg(4)->Arg(128);

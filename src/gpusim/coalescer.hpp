@@ -19,8 +19,8 @@ namespace bf::gpusim {
 /// Append the distinct aligned segments touched by the active lanes of
 /// `mask`, each accessing `access_bytes` from its `addr`, to `out` in
 /// ascending order; returns how many were appended. It allocates nothing
-/// once `out` has capacity: the engine lowers every global access of a
-/// warp into one segment slab this way.
+/// once `out` has capacity: the trace sink coalesces every global access
+/// of a warp into one segment slab this way.
 int append_segments(std::uint32_t mask,
                     const std::array<std::uint32_t, 32>& addr,
                     int access_bytes, int segment_bytes,

@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "gpusim/cache.hpp"
-#include "gpusim/coalescer.hpp"
 #include "gpusim/sharedmem.hpp"
 
 namespace bf::gpusim {
@@ -16,23 +15,8 @@ namespace {
 
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
-/// One warp instruction as the SM executes it, lowered from its WarpInstr
-/// when the warp is admitted. The lane addresses are gone: a shared
-/// access keeps its bank-conflict passes, a global access its transaction
-/// count and the offset of its segments in the warp's slab. 12 bytes
-/// where a WarpInstr takes 140.
-struct LoweredInstr {
-  std::uint32_t mask = 0;
-  std::uint32_t seg_begin = 0;  ///< global ops: first segment in the slab
-  Op op = Op::kIAlu;
-  std::uint8_t access_bytes = 0;
-  bool divergent = false;
-  std::uint8_t count = 0;  ///< shared: bank passes; global: transactions
-};
-static_assert(sizeof(LoweredInstr) == 12);
-
 struct WarpState {
-  std::vector<LoweredInstr> trace;
+  std::vector<TraceRecord> trace;
   std::vector<std::uint64_t> segments;  ///< global-op transaction slab
   std::size_t pc = 0;
   std::uint64_t ready = 0;
@@ -132,10 +116,11 @@ class SmSim {
     const int warps = geom_.warps_per_block(arch_.warp_size);
     for (int w = 0; w < warps; ++w) {
       auto ws = std::make_unique<WarpState>();
-      emitted_.clear();
-      TraceSink sink(emitted_);
+      // Stores bypass L1 (Fermi is write-through-no-allocate; Kepler has
+      // no L1 global path) and coalesce at L2 segment granularity.
+      TraceSink sink(banks_, load_segment_bytes_, arch_.l2_transaction_bytes,
+                     ws->trace, ws->segments);
       kernel_.emit_warp(block_id, w, sink);
-      lower(emitted_, *ws);
       ws->ready = cycle_;
       ws->scheduler =
           static_cast<int>(warp_admit_counter_++ %
@@ -148,46 +133,6 @@ class SmSim {
       ctx->warps.push_back(std::move(ws));
     }
     blocks_.push_back(std::move(ctx));
-  }
-
-  /// Reduce a warp's emitted trace to what issue() reads: coalesce global
-  /// accesses into the warp's segment slab and resolve shared accesses to
-  /// their bank passes, once, at admission.
-  void lower(const WarpTrace& emitted, WarpState& warp) const {
-    warp.trace.reserve(emitted.size());
-    for (const WarpInstr& in : emitted) {
-      LoweredInstr& out = warp.trace.emplace_back();
-      out.mask = in.mask;
-      out.op = in.op;
-      out.access_bytes = in.access_bytes;
-      out.divergent = in.divergent;
-      int count = 0;
-      switch (in.op) {
-        case Op::kLdShared:
-        case Op::kStShared:
-          count = shared_access_passes(in.mask, in.addr, banks_);
-          break;
-        case Op::kAtomicShared:
-          count = shared_atomic_passes(in.mask, in.addr, banks_);
-          break;
-        case Op::kLdGlobal:
-        case Op::kStGlobal:
-          BF_CHECK(warp.segments.size() <=
-                   std::numeric_limits<std::uint32_t>::max());
-          out.seg_begin = static_cast<std::uint32_t>(warp.segments.size());
-          // Stores bypass L1 (Fermi is write-through-no-allocate; Kepler
-          // has no L1 global path) and coalesce at L2 segment granularity.
-          count = append_segments(
-              in.mask, in.addr, in.access_bytes,
-              in.op == Op::kLdGlobal ? load_segment_bytes_
-                                     : arch_.l2_transaction_bytes,
-              warp.segments);
-          break;
-        default:
-          break;
-      }
-      out.count = static_cast<std::uint8_t>(count);
-    }
   }
 
   void rebuild_scheduler_lists() {
@@ -206,11 +151,17 @@ class SmSim {
   // ---- main loop ----
   void step() {
     bool issued_any = false;
+    // For an idle cycle: the earliest cycle at which a busy scheduler
+    // frees up or a warp of a free scheduler becomes ready.
+    std::uint64_t wake = kNever;
     const int dispatch = arch_.dispatch_units_per_scheduler;
     for (std::size_t s = 0; s < sched_busy_.size(); ++s) {
-      if (sched_busy_[s] > cycle_) continue;
+      if (sched_busy_[s] > cycle_) {
+        wake = std::min(wake, sched_busy_[s]);
+        continue;
+      }
       for (int d = 0; d < dispatch; ++d) {
-        WarpState* warp = pick_warp(s);
+        WarpState* warp = pick_warp(s, wake);
         if (warp == nullptr) break;
         const int cost = issue(warp);
         issued_any = true;
@@ -223,19 +174,11 @@ class SmSim {
       }
     }
 
-    // Advance time: one cycle while issuing, else jump to the next event.
+    // Advance time: one cycle while issuing, else straight to `wake`.
+    // State changes only when an instruction issues, so each skipped cycle
+    // would have issued nothing and added the same integer-valued deltas.
     std::uint64_t next = cycle_ + 1;
     if (!issued_any) {
-      std::uint64_t wake = kNever;
-      for (const auto& block : blocks_) {
-        for (const auto& w : block->warps) {
-          if (w->done || w->at_barrier) continue;
-          wake = std::min(wake, std::max(w->ready, cycle_ + 1));
-        }
-      }
-      for (const std::uint64_t b : sched_busy_) {
-        if (b > cycle_) wake = std::min(wake, b);
-      }
       BF_CHECK_MSG(wake != kNever,
                    "SM deadlock: no runnable warp and no pending event "
                    "(barrier mismatch in kernel '"
@@ -255,7 +198,10 @@ class SmSim {
     cycle_ = next;
   }
 
-  WarpState* pick_warp(std::size_t sched) {
+  /// The scheduler's next ready warp in round-robin order, or nullptr
+  /// after a full scan of its list that also lowers `wake` to the
+  /// earliest ready cycle among its runnable warps.
+  WarpState* pick_warp(std::size_t sched, std::uint64_t& wake) {
     auto& list = sched_warps_[sched];
     if (list.empty()) return nullptr;
     const std::size_t n = list.size();
@@ -264,10 +210,12 @@ class SmSim {
     for (std::size_t i = 0; i < n; ++i) {
       WarpState* w = list[at];
       if (++at == n) at = 0;
-      if (!w->done && !w->at_barrier && w->ready <= cycle_) {
+      if (w->done || w->at_barrier) continue;
+      if (w->ready <= cycle_) {
         rr = at;
         return w;
       }
+      wake = std::min(wake, w->ready);
     }
     return nullptr;
   }
@@ -277,7 +225,7 @@ class SmSim {
   /// Execute the warp's next instruction; returns the issue slots it
   /// consumed on its scheduler (1 = single slot, free for dual issue).
   int issue(WarpState* warp) {
-    const LoweredInstr& in = warp->trace[warp->pc++];
+    const TraceRecord& in = warp->trace[warp->pc++];
     CounterSet& c = *counters_;
     c.add(Event::kInstExecuted, 1);
     c.add(Event::kThreadInstExecuted, popcount_mask(in.mask));
@@ -360,7 +308,7 @@ class SmSim {
     return cost;
   }
 
-  int execute_global_load(WarpState* warp, const LoweredInstr& in) {
+  int execute_global_load(WarpState* warp, const TraceRecord& in) {
     CounterSet& c = *counters_;
     c.add(Event::kGldRequest, 1);
     c.add(Event::kGlobalLoadBytesRequested,
@@ -418,13 +366,13 @@ class SmSim {
     return arch_.dram_latency;
   }
 
-  int execute_global_store(WarpState* warp, const LoweredInstr& in) {
+  int execute_global_store(WarpState* warp, const TraceRecord& in) {
     CounterSet& c = *counters_;
     c.add(Event::kGstRequest, 1);
     c.add(Event::kGlobalStoreBytesRequested,
           static_cast<double>(popcount_mask(in.mask)) * in.access_bytes);
 
-    // The segments were coalesced at L2 granularity during lowering.
+    // The sink coalesced the segments at L2 granularity.
     const int ntrans = in.count;
     c.add(Event::kGlobalStoreTransaction, ntrans);
     c.add(Event::kL2WriteTransactions, ntrans);
@@ -496,7 +444,6 @@ class SmSim {
   const SharedBanks banks_;
   const int load_segment_bytes_;
   const int arith_cost_;  // issue slots of one warp-wide arithmetic op
-  WarpTrace emitted_;  // one warp's trace before lowering, reused
 
   Cache l1_;
   Cache l2_;

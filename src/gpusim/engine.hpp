@@ -27,13 +27,20 @@
 // bandwidth contention directly.
 //
 // How a launch runs on the host:
-//  * Admission-time lowering. When an SM admits a block, each warp's
-//    emitted WarpInstr trace (140 bytes per instruction, lane addresses
-//    included) is lowered to 12-byte records: op, mask, access width,
-//    divergence, plus the shared access's bank passes or the global
-//    access's transaction count and an offset into the warp's slab of
-//    coalesced segment addresses. Coalescing and bank-conflict analysis
-//    run once there; issuing an instruction only reads the result.
+//  * Lowering as kernels emit. When an SM admits a block, the kernel
+//    emits each warp through a TraceSink that writes 12-byte records
+//    straight into the warp's trace: op, mask, access width, divergence,
+//    plus the shared access's bank passes or the global access's
+//    transaction count and an offset into the warp's slab of coalesced
+//    segment addresses. Coalescing and bank-conflict analysis run once per
+//    emitted instruction, or once per resolved SharedAccess that a kernel
+//    replays; issuing an instruction only reads the result.
+//  * Idle-cycle jump. A cycle in which no scheduler issues advances
+//    straight to the earliest cycle at which one could: the earliest
+//    ready warp a free scheduler saw while looking for work, or a busy
+//    scheduler's release. Warps and barriers change state only when an
+//    instruction issues, so the skipped cycles would each have added the
+//    same integer-valued deltas, and the counters are exact.
 //  * Per-SM parallelism. SMs share nothing (each has its own L1, L2 slice
 //    and block queue), so every SM that received blocks runs on
 //    ThreadPool::global() into its own CounterSet. The sets are merged in

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "common/error.hpp"
 #include "gpusim/trace.hpp"
 
 namespace bf::kernels {
@@ -44,18 +45,23 @@ inline bool diverges(std::uint32_t mask, std::uint32_t scope) {
 
 /// Trivial bump allocator handing out disjoint global-memory regions, so
 /// different buffers of one kernel never alias in the cache models.
+/// Addresses are 32-bit: a region that would end past 2^32 throws
+/// bf::Error instead of wrapping onto another.
 class AddressSpace {
  public:
   /// Reserve `bytes`, aligned to 256 B; returns the base address.
   std::uint32_t alloc(std::uint64_t bytes) {
-    const std::uint32_t base = next_;
-    const std::uint64_t aligned = (bytes + 255ull) & ~255ull;
-    next_ += static_cast<std::uint32_t>(aligned);
+    constexpr std::uint64_t kEnd = 1ull << 32;
+    BF_CHECK_MSG(next_ < kEnd && bytes <= kEnd - next_,
+                 "a " << bytes << "-byte buffer at " << next_
+                      << " ends past the 4 GiB address space");
+    const auto base = static_cast<std::uint32_t>(next_);
+    next_ += (bytes + 255ull) & ~255ull;
     return base;
   }
 
  private:
-  std::uint32_t next_ = 256;  // keep address 0 unused
+  std::uint64_t next_ = 256;  // keep address 0 unused
 };
 
 }  // namespace bf::kernels

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <string>
 #include <thread>
@@ -16,6 +17,8 @@ namespace bf::gpusim {
 namespace {
 
 using kernels::lane_addrs;
+
+using WarpTrace = std::vector<WarpInstr>;
 
 /// A trivially scriptable kernel: every warp of every block runs the same
 /// caller-provided trace.
@@ -380,6 +383,99 @@ TEST(Engine, ConcurrentRunsMatchASingleRun) {
     }
     EXPECT_EQ(r.time_ms, lone.time_ms);
   }
+}
+
+/// Every warp stores and loads one shared pattern several times, either
+/// replaying one resolved SharedAccess or passing the lane addresses on
+/// every call.
+class SharedPatternKernel final : public TraceKernel {
+ public:
+  SharedPatternKernel(std::uint32_t mask, std::array<std::uint32_t, 32> addr,
+                      bool resolved)
+      : mask_(mask), addr_(addr), resolved_(resolved) {}
+
+  std::string name() const override { return "shared_pattern"; }
+  LaunchGeometry geometry() const override {
+    LaunchGeometry g;
+    g.grid_x = 40;
+    g.block_x = 96;
+    g.shared_mem_per_block = 8192;
+    g.registers_per_thread = 16;
+    return g;
+  }
+  void emit_warp(int /*block*/, int /*warp*/,
+                 TraceSink& sink) const override {
+    if (resolved_) {
+      const SharedAccess access = sink.resolve(mask_, addr_);
+      for (int i = 0; i < 3; ++i) {
+        sink.shared_store(access);
+        sink.alu(mask_, 2);
+        sink.shared_load(access);
+        sink.shared_load(access);
+      }
+    } else {
+      for (int i = 0; i < 3; ++i) {
+        sink.shared_store(mask_, addr_);
+        sink.alu(mask_, 2);
+        sink.shared_load(mask_, addr_);
+        sink.shared_load(mask_, addr_);
+      }
+    }
+  }
+
+ private:
+  std::uint32_t mask_;
+  std::array<std::uint32_t, 32> addr_;
+  bool resolved_;
+};
+
+TEST(Engine, ResolvedSharedAccessMatchesPerCall) {
+  struct Pattern {
+    const char* name;
+    std::uint32_t mask;
+    std::array<std::uint32_t, 32> addr;
+    double conflicts_per_access;  // bank-conflict replays of one access
+  };
+  const std::vector<Pattern> patterns = {
+      {"conflict-free", kFullMask,
+       lane_addrs([](int lane) { return 4u * lane; }), 0},
+      {"broadcast", kFullMask, lane_addrs([](int) { return 64u; }), 0},
+      {"stride-32", 0x0000ffffu,
+       lane_addrs([](int lane) { return 128u * lane; }), 15},
+  };
+  for (const ArchSpec& arch : arch_registry()) {
+    const Device device(arch);
+    for (const Pattern& p : patterns) {
+      SCOPED_TRACE(arch.name + " " + p.name);
+      const RunResult want =
+          device.run(SharedPatternKernel(p.mask, p.addr, false));
+      const RunResult got =
+          device.run(SharedPatternKernel(p.mask, p.addr, true));
+      for (std::size_t e = 0; e < kNumEvents; ++e) {
+        EXPECT_EQ(got.counters.get(static_cast<Event>(e)),
+                  want.counters.get(static_cast<Event>(e)))
+            << event_name(static_cast<Event>(e));
+      }
+      EXPECT_EQ(got.time_ms, want.time_ms);
+      // 40 blocks x 3 warps x 3 rounds x 3 shared accesses.
+      EXPECT_EQ(got.counters.get(Event::kSharedBankConflict),
+                1080.0 * p.conflicts_per_access);
+    }
+  }
+
+  // An empty mask fails the same way on both paths.
+  const auto error_of = [](bool resolved) {
+    try {
+      Device(gtx580()).run(SharedPatternKernel(0, {}, resolved));
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_NE(error_of(true).find("memory op with empty mask"),
+            std::string::npos)
+      << error_of(true);
+  EXPECT_EQ(error_of(true), error_of(false));
 }
 
 TEST(Engine, EmptyGridRejected) {

@@ -2,11 +2,14 @@
 // structure, and the bottleneck signatures each kernel is built to show.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "gpusim/engine.hpp"
+#include "kernels/kernel_base.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/misc.hpp"
 #include "kernels/nw.hpp"
@@ -173,6 +176,10 @@ TEST(MatMul, GeometryAndValidation) {
   EXPECT_EQ(k.geometry().block_size(), 256);
   EXPECT_THROW(MatMulKernel(100, 16), Error);  // not a multiple
   EXPECT_THROW(MatMulKernel(64, 4), Error);    // tile too small
+  // Three n x n float buffers: at n = 16384 they end at 3 GiB + 256 B; at
+  // n = 24576 the second would end past 2^32 and wrap onto the first.
+  EXPECT_NO_THROW(MatMulKernel(16384, 16));
+  EXPECT_THROW(MatMulKernel(24576, 16), Error);
 }
 
 TEST(MatMul, SharedAccessesConflictFree) {
@@ -207,6 +214,123 @@ TEST(MatMul, TimeSuperlinearInN) {
   const double t512 = simulate_matmul(dev, 512).time_ms;
   EXPECT_GT(t512, 4.0 * t256);  // O(n^3) work, allow wide latitude
   EXPECT_LT(t512, 16.0 * t256);
+}
+
+TEST(AddressSpace, RegionsEndWithinFourGiB) {
+  AddressSpace mem;
+  EXPECT_EQ(mem.alloc((1ull << 32) - 512), 256u);
+  EXPECT_EQ(mem.alloc(256), 0xffffff00u);  // ends at 2^32
+  EXPECT_THROW(mem.alloc(1), Error);
+  AddressSpace fresh;
+  EXPECT_THROW(fresh.alloc(1ull << 32), Error);
+}
+
+/// matrixMul as emitted before its shared accesses were resolved once per
+/// warp and its global addresses advanced by a per-tile stride: every
+/// memory op builds its 32 lane addresses and passes them to the sink.
+class PerLaneMatMul final : public gpusim::TraceKernel {
+ public:
+  PerLaneMatMul(int n, int tile) : shape_(n, tile), n_(n), tile_(tile) {
+    AddressSpace mem;
+    const std::uint64_t bytes = static_cast<std::uint64_t>(n) * n * 4;
+    a_base_ = mem.alloc(bytes);
+    b_base_ = mem.alloc(bytes);
+    c_base_ = mem.alloc(bytes);
+  }
+
+  std::string name() const override { return shape_.name(); }
+  gpusim::LaunchGeometry geometry() const override {
+    return shape_.geometry();
+  }
+
+  void emit_warp(int block, int warp,
+                 gpusim::TraceSink& sink) const override {
+    const int blocks_per_dim = n_ / tile_;
+    const int bx = block % blocks_per_dim;
+    const int by = block / blocks_per_dim;
+    const int lanes = std::clamp(tile_ * tile_ - warp * 32, 0, 32);
+    if (lanes <= 0) return;
+    const std::uint32_t scope = gpusim::mask_first_lanes(lanes);
+    const auto tx = [&](int lane) { return (warp * 32 + lane) % tile_; };
+    const auto ty = [&](int lane) { return (warp * 32 + lane) / tile_; };
+    const std::uint32_t bs_off =
+        static_cast<std::uint32_t>(tile_ * tile_) * 4;
+
+    sink.alu(scope, 4, gpusim::Op::kIAlu);
+    for (int t = 0; t < n_ / tile_; ++t) {
+      sink.global_load(scope, lane_addrs([&](int lane) {
+        const std::int64_t row =
+            static_cast<std::int64_t>(by) * tile_ + ty(lane);
+        const std::int64_t col =
+            static_cast<std::int64_t>(t) * tile_ + tx(lane);
+        return a_base_ + 4u * static_cast<std::uint32_t>(row * n_ + col);
+      }));
+      sink.shared_store(scope, lane_addrs([&](int lane) {
+        return 4u * static_cast<std::uint32_t>(ty(lane) * tile_ + tx(lane));
+      }));
+      sink.global_load(scope, lane_addrs([&](int lane) {
+        const std::int64_t row =
+            static_cast<std::int64_t>(t) * tile_ + ty(lane);
+        const std::int64_t col =
+            static_cast<std::int64_t>(bx) * tile_ + tx(lane);
+        return b_base_ + 4u * static_cast<std::uint32_t>(row * n_ + col);
+      }));
+      sink.shared_store(scope, lane_addrs([&](int lane) {
+        return bs_off +
+               4u * static_cast<std::uint32_t>(ty(lane) * tile_ + tx(lane));
+      }));
+      sink.sync();
+      for (int k = 0; k < tile_; ++k) {
+        sink.shared_load(scope, lane_addrs([&](int lane) {
+          return 4u * static_cast<std::uint32_t>(ty(lane) * tile_ + k);
+        }));
+        sink.shared_load(scope, lane_addrs([&](int lane) {
+          return bs_off +
+                 4u * static_cast<std::uint32_t>(k * tile_ + tx(lane));
+        }));
+        sink.alu(scope, 1, gpusim::Op::kFAlu);
+      }
+      sink.alu(scope, 1, gpusim::Op::kIAlu);
+      sink.sync();
+    }
+    sink.global_store(scope, lane_addrs([&](int lane) {
+      const std::int64_t row =
+          static_cast<std::int64_t>(by) * tile_ + ty(lane);
+      const std::int64_t col =
+          static_cast<std::int64_t>(bx) * tile_ + tx(lane);
+      return c_base_ + 4u * static_cast<std::uint32_t>(row * n_ + col);
+    }));
+  }
+
+ private:
+  MatMulKernel shape_;
+  int n_;
+  int tile_;
+  std::uint32_t a_base_ = 0;
+  std::uint32_t b_base_ = 0;
+  std::uint32_t c_base_ = 0;
+};
+
+TEST(MatMul, HoistedEmissionMatchesPerLaneReference) {
+  // The golden table pins tile 16 only; this covers every tile width.
+  for (const auto& arch : {gtx580(), kepler_k20m()}) {
+    const Device dev(arch);
+    for (const int tile : {8, 16, 32}) {
+      for (const int n : {64, 256}) {
+        SCOPED_TRACE(arch.name + " tile " + std::to_string(tile) + " n " +
+                     std::to_string(n));
+        const auto want = dev.run(PerLaneMatMul(n, tile));
+        const auto got = dev.run(MatMulKernel(n, tile));
+        for (std::size_t e = 0; e < gpusim::kNumEvents; ++e) {
+          const auto ev = static_cast<Event>(e);
+          EXPECT_EQ(got.counters.get(ev), want.counters.get(ev))
+              << gpusim::event_name(ev);
+        }
+        EXPECT_EQ(got.time_ms, want.time_ms);
+        EXPECT_GT(got.counters.get(Event::kSharedLoad), 0.0);
+      }
+    }
+  }
 }
 
 // ---- Needleman-Wunsch ----
