@@ -5,12 +5,10 @@
 #include <istream>
 #include <ostream>
 #include <span>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/io.hpp"
 #include "gpusim/arch.hpp"
-#include "guard/physical.hpp"
 #include "ml/metrics.hpp"
 #include "profiling/counter_registry.hpp"
 #include "profiling/sweep.hpp"
@@ -47,13 +45,6 @@ std::vector<std::string> common_columns(const ml::Dataset& a,
   return out;
 }
 
-std::string format_clamp(const guard::ClampEvent& e) {
-  std::ostringstream os;
-  os << e.counter << ": " << e.from << " -> " << e.to << " (" << e.reason
-     << ")";
-  return os.str();
-}
-
 /// Count predict-time events belonging to one counter ("name: ..." lines).
 int count_events(const std::vector<guard::PredictionGuardRecord>& recs,
                  const std::string& counter, bool clamps) {
@@ -68,8 +59,8 @@ int count_events(const std::vector<guard::PredictionGuardRecord>& recs,
 }
 
 guard::PredictionGuardRecord grade_forest_row(
-    const guard::DomainGuard& hull, const ml::Dataset& rows, std::size_t row,
-    double size, const ml::PredictionInterval& iv) {
+    const guard::DomainGuard& hull, const std::vector<std::size_t>& slots,
+    const double* row, double size, const ml::PredictionInterval& iv) {
   guard::PredictionGuardRecord rec;
   rec.size = size;
   rec.value = iv.mean;
@@ -79,7 +70,7 @@ guard::PredictionGuardRecord grade_forest_row(
   rec.interval_width = std::abs(iv.mean) > 0.0
                            ? (iv.hi - iv.lo) / std::abs(iv.mean)
                            : iv.hi - iv.lo;
-  rec.flags = hull.check_row(rows, row);
+  rec.flags = hull.check_row(row, slots);
   rec.extrapolated = !rec.flags.empty();
   rec.grade = guard::grade_prediction(rec);
   return rec;
@@ -130,27 +121,84 @@ ProblemScalingPredictor ProblemScalingPredictor::build(
         profiling::counter_monotonicity(p.counters_.entry_counter(e)) ==
         profiling::Monotonicity::kNonDecreasing);
   }
+  p.resolve_plan();
   return p;
+}
+
+void ProblemScalingPredictor::resolve_plan() {
+  const std::vector<std::string>& names = reduced_.predictors();
+  const auto slot_of = [&names](const std::string& feature) {
+    const auto it = std::find(names.begin(), names.end(), feature);
+    return it == names.end() ? guard::kNoSlot
+                             : static_cast<std::size_t>(it - names.begin());
+  };
+  // Every slot of the row is filled by exactly one generated feature:
+  // the size itself or one counter-chain entry, whose only input is the
+  // size.
+  BF_CHECK_MSG(counters_.inputs() ==
+                   std::vector<std::string>{profiling::kSizeColumn},
+               "bf_psp: counter models must take the size as their input");
+  std::vector<bool> filled(names.size(), false);
+  const auto claim = [&](const std::string& feature) {
+    const std::size_t slot = slot_of(feature);
+    BF_CHECK_MSG(slot != guard::kNoSlot && !filled[slot],
+                 "bf_psp: reduced forest does not take generated feature '"
+                     << feature << "' exactly once");
+    filled[slot] = true;
+    return slot;
+  };
+  QueryPlan plan;
+  plan.size_slot = claim(profiling::kSizeColumn);
+  for (std::size_t e = 0; e < counters_.num_entries(); ++e) {
+    plan.entry_slots.push_back(claim(counters_.entry_counter(e)));
+  }
+  BF_CHECK_MSG(std::find(filled.begin(), filled.end(), false) == filled.end(),
+               "bf_psp: a reduced-forest predictor is neither the size nor "
+               "a modelled counter");
+  plan.hull_slots = hull_.slots(names);
+  for (guard::PhysicalCap& cap :
+       arch_ ? guard::static_caps(*arch_) : guard::ratio_caps()) {
+    const std::size_t slot = slot_of(cap.counter);
+    if (slot != guard::kNoSlot) {
+      plan.static_caps.push_back({slot, std::move(cap)});
+    }
+  }
+  for (const guard::TimeCappedCounter& tc : guard::kTimeCapped) {
+    const std::size_t slot = slot_of(tc.counter);
+    if (slot != guard::kNoSlot) plan.time_caps.push_back({slot, tc.law});
+  }
+  plan_ = std::move(plan);
 }
 
 guard::PredictionGuardRecord ProblemScalingPredictor::predict_guarded(
     double size) const {
+  BF_CHECK_MSG(std::isfinite(size) && size > 0.0,
+               "problem size must be finite and positive, got " << size);
   guard::PredictionGuardRecord rec;
   rec.size = size;
+  const std::vector<std::string>& names = reduced_.predictors();
 
-  // Reused buffers for the per-size hot path: counter-chain queries and
-  // forest interval queries are allocation-free below this point.
+  // The query row, in the reduced forest's predictor order, and the
+  // counter-chain and forest scratch live in per-thread buffers that
+  // every query overwrites before reading: after a thread's first query
+  // the common path (no demotion, no clamp) allocates nothing.
+  struct Buffers {
+    std::vector<double> row;
+    std::vector<double> chain;
+    ml::ForestScratch forest;
+  };
+  thread_local Buffers buffers;
+  std::vector<double>& row = buffers.row;
+  row.resize(names.size());
   const double cm_in[1] = {size};
   const std::span<const double> cm_inputs(cm_in);
-  std::vector<double> cm_scratch;
-  ml::ForestScratch forest_scratch;
+  std::vector<double>& cm_scratch = buffers.chain;
+  ml::ForestScratch& forest_scratch = buffers.forest;
 
   // 1. Generate the retained counters, demoting down each fallback chain
   //    when a model's output violates its sanity envelope.
-  ml::Dataset features;
-  features.add_column(profiling::kSizeColumn, {size});
+  row[plan_.size_slot] = size;
   for (std::size_t e = 0; e < counters_.num_entries(); ++e) {
-    const std::string& name = counters_.entry_counter(e);
     const auto& chain = counters_.entry_chain(e);
     const double pl = counters_.predict_kind(e, CounterModelKind::kPowerLaw,
                                              cm_inputs, cm_scratch);
@@ -158,12 +206,12 @@ guard::PredictionGuardRecord ProblemScalingPredictor::predict_guarded(
     const bool beyond_train = size > max_train_size_;
     double value = 0.0;
     bool accepted = false;
-    std::string first_failure;
+    const char* first_failure = nullptr;
     for (const CounterModelKind kind : chain) {
       bool neg = false;
       const double v =
           counters_.predict_kind(e, kind, cm_inputs, cm_scratch, &neg);
-      std::string why;
+      const char* why = nullptr;
       if (!std::isfinite(v)) {
         why = "non-finite";
       } else if (neg) {
@@ -174,15 +222,16 @@ guard::PredictionGuardRecord ProblemScalingPredictor::predict_guarded(
                  v < train_at_max_size_[e] * guard::kMonotoneFloor) {
         why = "breaks monotone growth";
       }
-      if (!why.empty()) {
-        if (first_failure.empty()) first_failure = why;
+      if (why != nullptr) {
+        if (first_failure == nullptr) first_failure = why;
         continue;
       }
       value = v;
       accepted = true;
       if (kind != chain.front()) {
         rec.demotions.push_back(
-            name + ": " + counter_model_name(chain.front()) + " -> " +
+            counters_.entry_counter(e) + ": " +
+            counter_model_name(chain.front()) + " -> " +
             counter_model_name(kind) + " (" + first_failure + ")");
       }
       break;
@@ -194,30 +243,30 @@ guard::PredictionGuardRecord ProblemScalingPredictor::predict_guarded(
                                         cm_inputs, cm_scratch);
       if (!std::isfinite(v)) v = train_at_max_size_[e];
       value = std::clamp(v, 0.0, envelope);
-      std::ostringstream os;
-      os << name << ": " << v << " -> " << value
-         << " (all chain models failed: " << first_failure << ")";
-      rec.clamps.push_back(os.str());
+      rec.clamps.push_back(guard::clamp_text(
+          counters_.entry_counter(e), v, value,
+          std::string("all chain models failed: ") + first_failure));
     }
-    features.add_column(name, {value});
+    row[plan_.entry_slots[e]] = value;
   }
 
   // 2. Hull check over the query size and the generated counters.
-  rec.flags = hull_.check_row(features, 0);
+  rec.flags = hull_.check_row(row.data(), plan_.hull_slots);
   rec.extrapolated = !rec.flags.empty();
 
   // 3. Static physical caps (ratio metrics, bandwidth, issue width).
-  const std::vector<guard::PhysicalCap> caps =
-      arch_ ? guard::static_caps(*arch_) : guard::ratio_caps();
-  for (const auto& ev :
-       guard::clamp_row_to_caps(features, 0, caps, guard::kCapTolerance)) {
-    rec.clamps.push_back(format_clamp(ev));
+  for (const auto& [slot, cap] : plan_.static_caps) {
+    if (!guard::exceeds_cap(row[slot], cap.max_value, guard::kCapTolerance)) {
+      continue;
+    }
+    rec.clamps.push_back(
+        guard::clamp_text(cap.counter, row[slot], cap.max_value, cap.reason));
+    row[slot] = cap.max_value;
   }
 
   // 4. Forest query with per-tree spread, on the frozen flat engine.
-  linalg::Matrix xm = features.to_matrix(reduced_.predictors());
   ml::PredictionInterval iv =
-      reduced_.predict_interval(xm.row_ptr(0), 0.1, forest_scratch);
+      reduced_.predict_interval(row.data(), 0.1, forest_scratch);
   rec.raw_value = iv.mean;
 
   // 5. Response-dependent caps. For the time response the predicted
@@ -225,22 +274,27 @@ guard::PredictionGuardRecord ProblemScalingPredictor::predict_guarded(
   //    when one fires, re-query the forest with the capped counters.
   //    For the power response the prediction itself is bounded by the
   //    board's physical envelope [idle_w, tdp_w].
-  if (arch_ && response_ == profiling::kTimeColumn &&
-      std::isfinite(iv.mean) && iv.mean > 0.0) {
-    const auto tcaps = guard::time_caps(*arch_, iv.mean);
-    const auto tev =
-        guard::clamp_row_to_caps(features, 0, tcaps, guard::kCapTolerance);
-    if (!tev.empty()) {
-      for (const auto& ev : tev) rec.clamps.push_back(format_clamp(ev));
-      xm = features.to_matrix(reduced_.predictors());
-      iv = reduced_.predict_interval(xm.row_ptr(0), 0.1, forest_scratch);
+  const auto time_caps = arch_ && response_ == profiling::kTimeColumn
+                             ? guard::time_caps(*arch_, iv.mean)
+                             : std::nullopt;
+  if (time_caps) {
+    bool fired = false;
+    for (const auto& [slot, law] : plan_.time_caps) {
+      const double bound = time_caps->bound(law);
+      if (!guard::exceeds_cap(row[slot], bound, guard::kCapTolerance)) {
+        continue;
+      }
+      rec.clamps.push_back(guard::clamp_text(
+          names[slot], row[slot], bound, guard::time_cap_reason(law, bound)));
+      row[slot] = bound;
+      fired = true;
     }
+    if (fired) iv = reduced_.predict_interval(row.data(), 0.1, forest_scratch);
   } else if (arch_ && response_ == profiling::kPowerColumn) {
-    std::vector<guard::ClampEvent> pev;
+    const std::size_t before = rec.clamps.size();
     const double capped = guard::clamp_power_to_envelope(
-        *arch_, iv.mean, guard::kCapTolerance, pev);
-    if (!pev.empty()) {
-      for (const auto& ev : pev) rec.clamps.push_back(format_clamp(ev));
+        *arch_, iv.mean, guard::kCapTolerance, rec.clamps);
+    if (rec.clamps.size() != before) {
       iv.mean = capped;
       iv.lo = std::clamp(iv.lo, arch_->idle_w, arch_->tdp_w);
       iv.hi = std::clamp(iv.hi, arch_->idle_w, arch_->tdp_w);
@@ -366,6 +420,7 @@ ProblemScalingPredictor ProblemScalingPredictor::load(std::istream& is) {
   p.reduced_ = BlackForestModel::load(is);
   BF_CHECK_MSG(p.counters_.num_entries() == n_env,
                "bf_psp: envelope count disagrees with counter models");
+  p.resolve_plan();
   return p;
 }
 
@@ -479,6 +534,7 @@ HardwareScalingResult HardwareScalingPredictor::predict(
   // takes the default margin.
   const guard::DomainGuard hull = guard::DomainGuard::build(
       train, model.predictors(), guard::GuardOptions{}.margin);
+  const std::vector<std::size_t> slots = hull.slots(model.predictors());
   const linalg::Matrix xm = split.test.to_matrix(model.predictors());
   const auto intervals = model.predict_intervals(xm);
   out.series.guard.enabled = true;
@@ -487,7 +543,7 @@ HardwareScalingResult HardwareScalingPredictor::predict(
   const auto& test_sizes = out.series.sizes;
   for (std::size_t r = 0; r < intervals.size(); ++r) {
     out.series.guard.predictions.push_back(grade_forest_row(
-        hull, split.test, r, test_sizes[r], intervals[r]));
+        hull, slots, xm.row_ptr(r), test_sizes[r], intervals[r]));
   }
   return out;
 }

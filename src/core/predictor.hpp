@@ -24,6 +24,7 @@
 #include "core/model.hpp"
 #include "gpusim/arch.hpp"
 #include "guard/guard.hpp"
+#include "guard/physical.hpp"
 #include "ml/dataset.hpp"
 
 namespace bf::core {
@@ -83,7 +84,7 @@ class ProblemScalingPredictor {
   /// physical caps, then query the reduced forest for the value, its
   /// per-tree interval and a confidence grade. A predictor built with
   /// another response column (e.g. profiling::kPowerColumn) returns that
-  /// response.
+  /// response. Throws bf::Error unless `size` is finite and positive.
   bf::guard::PredictionGuardRecord predict_guarded(double size) const;
 
   /// Predict a series and score it against measured times; the series
@@ -110,6 +111,33 @@ class ProblemScalingPredictor {
   static ProblemScalingPredictor load(std::istream& is);
 
  private:
+  /// Where predict_guarded finds everything in its query row, which
+  /// holds the reduced forest's predictors in their order. Resolved once
+  /// by build() and load() and never changed after, so concurrent
+  /// queries share it read-only.
+  struct QueryPlan {
+    std::size_t size_slot = 0;
+    std::vector<std::size_t> entry_slots;  ///< per counter-chain entry
+    std::vector<std::size_t> hull_slots;   ///< per hull range
+    /// Static caps (ratio and architecture) on counters the row holds,
+    /// in cap order; their reason text is built here, once.
+    struct StaticCap {
+      std::size_t slot = 0;
+      bf::guard::PhysicalCap cap;
+    };
+    std::vector<StaticCap> static_caps;
+    /// Time caps on counters the row holds, in cap order; they apply
+    /// when the response is time and the architecture is known.
+    struct TimeCap {
+      std::size_t slot = 0;
+      bf::guard::TimeLaw law = bf::guard::TimeLaw::kBusTransactions;
+    };
+    std::vector<TimeCap> time_caps;
+  };
+  /// Resolve plan_ against the reduced forest's predictors; throws when
+  /// they are not exactly "size" plus the counter-chain entries.
+  void resolve_plan();
+
   BlackForestModel full_;
   BlackForestModel reduced_;
   CounterModels counters_;
@@ -124,6 +152,7 @@ class ProblemScalingPredictor {
   std::vector<double> train_at_max_size_;
   std::vector<bool> monotone_;
   double max_train_size_ = 0.0;
+  QueryPlan plan_;
 };
 
 // ---- Hardware scaling ----

@@ -56,38 +56,42 @@ const FeatureRange* DomainGuard::range(const std::string& name) const {
   return nullptr;
 }
 
-std::vector<ExtrapolationFlag> DomainGuard::check_value(
-    const std::string& feature, double value) const {
-  std::vector<ExtrapolationFlag> out;
-  const FeatureRange* r = range(feature);
-  if (r == nullptr || !std::isfinite(value)) return out;
-  // A degenerate (constant) feature still has a meaningful hull: any
-  // deviation is extrapolation measured in absolute units.
-  const double span = r->span();
-  const double slack = span * margin_;
-  double beyond = 0.0;
-  if (value < r->lo - slack) {
-    beyond = (r->lo - slack) - value;
-  } else if (value > r->hi + slack) {
-    beyond = value - (r->hi + slack);
-  } else {
-    return out;
+std::vector<std::size_t> DomainGuard::slots(
+    const std::vector<std::string>& columns) const {
+  std::vector<std::size_t> out;
+  out.reserve(ranges_.size());
+  for (const auto& r : ranges_) {
+    const auto it = std::find(columns.begin(), columns.end(), r.name);
+    out.push_back(it == columns.end()
+                      ? kNoSlot
+                      : static_cast<std::size_t>(it - columns.begin()));
   }
-  ExtrapolationFlag flag;
-  flag.feature = feature;
-  flag.value = value;
-  flag.distance = span > 0.0 ? beyond / span : beyond;
-  out.push_back(flag);
   return out;
 }
 
 std::vector<ExtrapolationFlag> DomainGuard::check_row(
-    const ml::Dataset& ds, std::size_t row) const {
+    const double* row, const std::vector<std::size_t>& slots) const {
+  BF_CHECK_MSG(slots.size() == ranges_.size(),
+               "hull slots resolved for another hull");
   std::vector<ExtrapolationFlag> out;
-  for (const auto& r : ranges_) {
-    if (!ds.has_column(r.name)) continue;
-    const auto flags = check_value(r.name, ds.column(r.name)[row]);
-    out.insert(out.end(), flags.begin(), flags.end());
+  for (std::size_t k = 0; k < ranges_.size(); ++k) {
+    if (slots[k] == kNoSlot) continue;
+    const double value = row[slots[k]];
+    if (!std::isfinite(value)) continue;
+    const FeatureRange& r = ranges_[k];
+    // A degenerate (constant) feature still has a meaningful hull: any
+    // deviation is extrapolation measured in absolute units.
+    const double span = r.span();
+    const double slack = span * margin_;
+    double beyond = 0.0;
+    if (value < r.lo - slack) {
+      beyond = (r.lo - slack) - value;
+    } else if (value > r.hi + slack) {
+      beyond = value - (r.hi + slack);
+    } else {
+      continue;
+    }
+    out.push_back({r.name, value, span > 0.0 ? beyond / span : beyond});
   }
   return out;
 }

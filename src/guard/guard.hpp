@@ -87,6 +87,9 @@ struct ExtrapolationFlag {
   double distance = 0.0;
 };
 
+/// Slot of a tracked feature that a row layout does not carry.
+inline constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
 /// Per-feature training hull with an extrapolation margin (piece 1 of
 /// the guard layer). Built once at fit time, queried per prediction.
 class DomainGuard {
@@ -104,12 +107,16 @@ class DomainGuard {
   /// Range of one feature; nullptr when the feature is not tracked.
   const FeatureRange* range(const std::string& name) const;
 
-  /// Check a single feature value; empty vector when in hull.
-  std::vector<ExtrapolationFlag> check_value(const std::string& feature,
-                                             double value) const;
-  /// Check every tracked feature present in `ds` at `row`.
-  std::vector<ExtrapolationFlag> check_row(const ml::Dataset& ds,
-                                           std::size_t row) const;
+  /// Where each range's feature sits in rows whose columns are named
+  /// `columns`: one slot per range, kNoSlot when the rows lack it.
+  /// Resolve once per row layout, then check rows with check_row.
+  std::vector<std::size_t> slots(
+      const std::vector<std::string>& columns) const;
+  /// Check every tracked feature of a row laid out as `slots` resolved;
+  /// flags come in range order, non-finite values are never flagged, and
+  /// an in-hull row allocates nothing.
+  std::vector<ExtrapolationFlag> check_row(
+      const double* row, const std::vector<std::size_t>& slots) const;
 
   /// Serialise the hull (ranges + margin) for .bfmodel bundles.
   void save(std::ostream& os) const;

@@ -43,69 +43,58 @@ std::vector<PhysicalCap> static_caps(const gpusim::ArchSpec& arch) {
   return caps;
 }
 
-std::vector<PhysicalCap> time_caps(const gpusim::ArchSpec& arch,
-                                   double predicted_time_ms) {
-  std::vector<PhysicalCap> caps;
+std::optional<TimeCaps> time_caps(const gpusim::ArchSpec& arch,
+                                  double predicted_time_ms) {
   if (!(predicted_time_ms > 0.0) || !std::isfinite(predicted_time_ms)) {
-    return caps;
+    return std::nullopt;
   }
   const double time_s = predicted_time_ms * 1e-3;
-  // The memory bus cannot move more than bandwidth x time bytes; DRAM
-  // transactions are l2_transaction_bytes-sized segments of that budget.
   const double bus_bytes = arch.mem_bandwidth_gbs * 1e9 * time_s;
-  const double max_transactions =
+  TimeCaps caps;
+  caps.max_transactions =
       bus_bytes / static_cast<double>(arch.l2_transaction_bytes);
-  const std::string bus_reason =
-      "bandwidth x predicted time allows <= " +
-      format_value(max_transactions) + " transactions";
-  caps.push_back({"dram_read_transactions", max_transactions, bus_reason});
-  caps.push_back({"dram_write_transactions", max_transactions, bus_reason});
-  // The schedulers cannot issue more warp instructions than
-  // SMs x schedulers x dispatch units x clock x time.
-  const double max_issued = static_cast<double>(arch.sm_count) *
-                            static_cast<double>(arch.warp_schedulers_per_sm) *
-                            static_cast<double>(
-                                arch.dispatch_units_per_scheduler) *
-                            arch.clock_ghz * 1e9 * time_s;
-  const std::string issue_reason =
-      "issue rate x predicted time allows <= " + format_value(max_issued) +
-      " warp instructions";
-  caps.push_back({"inst_executed", max_issued, issue_reason});
-  caps.push_back({"inst_issued", max_issued, issue_reason});
+  caps.max_issued = static_cast<double>(arch.sm_count) *
+                    static_cast<double>(arch.warp_schedulers_per_sm) *
+                    static_cast<double>(arch.dispatch_units_per_scheduler) *
+                    arch.clock_ghz * 1e9 * time_s;
   return caps;
 }
 
-std::vector<ClampEvent> clamp_row_to_caps(
-    ml::Dataset& features, std::size_t row,
-    const std::vector<PhysicalCap>& caps, double tolerance) {
-  std::vector<ClampEvent> events;
-  for (const auto& cap : caps) {
-    if (!features.has_column(cap.counter)) continue;
-    auto& col = features.mutable_column(cap.counter);
-    const double v = col[row];
-    if (!std::isfinite(v)) continue;
-    if (v <= cap.max_value * (1.0 + tolerance)) continue;
-    events.push_back({cap.counter, v, cap.max_value, cap.reason});
-    col[row] = cap.max_value;
-  }
-  return events;
+std::string time_cap_reason(TimeLaw law, double bound) {
+  return law == TimeLaw::kBusTransactions
+             ? "bandwidth x predicted time allows <= " + format_value(bound) +
+                   " transactions"
+             : "issue rate x predicted time allows <= " +
+                   format_value(bound) + " warp instructions";
+}
+
+bool exceeds_cap(double value, double cap, double tolerance) {
+  return std::isfinite(value) && value > cap * (1.0 + tolerance);
+}
+
+std::string clamp_text(const std::string& counter, double from, double to,
+                       const std::string& reason) {
+  std::ostringstream os;
+  os << counter << ": " << from << " -> " << to << " (" << reason << ")";
+  return os.str();
 }
 
 double clamp_power_to_envelope(const gpusim::ArchSpec& arch, double watts,
                                double tolerance,
-                               std::vector<ClampEvent>& events) {
+                               std::vector<std::string>& clamps) {
   if (!std::isfinite(watts)) return watts;
   if (watts > arch.tdp_w * (1.0 + tolerance)) {
-    events.push_back({"power_avg_w", watts, arch.tdp_w,
-                      "board power <= TDP (" + format_value(arch.tdp_w) +
-                          " W on " + arch.name + ")"});
+    clamps.push_back(clamp_text("power_avg_w", watts, arch.tdp_w,
+                                "board power <= TDP (" +
+                                    format_value(arch.tdp_w) + " W on " +
+                                    arch.name + ")"));
     return arch.tdp_w;
   }
   if (watts < arch.idle_w * (1.0 - tolerance)) {
-    events.push_back({"power_avg_w", watts, arch.idle_w,
-                      "board power >= idle floor (" +
-                          format_value(arch.idle_w) + " W on " + arch.name +
-                          ")"});
+    clamps.push_back(clamp_text("power_avg_w", watts, arch.idle_w,
+                                "board power >= idle floor (" +
+                                    format_value(arch.idle_w) + " W on " +
+                                    arch.name + ")"));
     return arch.idle_w;
   }
   return watts;

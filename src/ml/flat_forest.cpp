@@ -35,35 +35,27 @@ inline std::int64_t pack_lane(std::int32_t lane, std::int32_t node) {
          (static_cast<std::int64_t>(node) << 32);
 }
 
-/// The alpha band of the non-empty per-tree `values` around `mean`: the
-/// linear-interpolation quantiles of their ascending order. Only the two
-/// order statistics each quantile reads are placed (rank i by
-/// nth_element, rank i + 1 as the minimum above it), so the doubles are
-/// those of a full sort while `values` is left only partially ordered.
-PredictionInterval band(std::vector<double>& values, double mean,
-                        double alpha) {
-  // values[from..) holds exactly the ranks from `from` up; the quantiles
-  // are read in ascending order, so each selection runs over that tail.
-  std::size_t from = 0;
-  const auto quantile = [&](double q) {
-    const double pos = q * static_cast<double>(values.size() - 1);
-    const std::size_t i = static_cast<std::size_t>(pos);
-    const double frac = pos - static_cast<double>(i);
-    const auto rank_i = values.begin() + static_cast<std::ptrdiff_t>(i);
-    if (i >= from) {
-      std::nth_element(values.begin() + static_cast<std::ptrdiff_t>(from),
-                       rank_i, values.end());
-    }
-    from = i + 1;
-    if (i + 1 >= values.size()) return *rank_i;
-    return *rank_i * (1.0 - frac) +
-           *std::min_element(rank_i + 1, values.end()) * frac;
-  };
-  PredictionInterval out;
-  out.mean = mean;
-  out.lo = quantile(alpha / 2.0);
-  out.hi = quantile(1.0 - alpha / 2.0);
-  return out;
+/// Per-tree values are sampled at this stride to pick the band's
+/// selection thresholds.
+constexpr std::size_t kSampleStride = 8;
+/// Sample ranks a threshold sits past the rank the needed count implies,
+/// so that the values at or beyond it almost always cover that count.
+constexpr std::size_t kSampleSlack = 2;
+
+/// The linear-interpolation quantile at rank position `pos` of `n`
+/// values, read from [first, last), which holds exactly the ascending
+/// ranks base, base + 1, ... in any order and must hold rank i = floor(pos)
+/// and, below the top rank, i + 1. Only those two are placed (rank i by
+/// nth_element, rank i + 1 as the minimum above it), so the result is the
+/// double a full sort gives.
+double interpolate(double* first, double* last, std::size_t base,
+                   std::size_t n, double pos) {
+  const std::size_t i = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(i);
+  double* const rank_i = first + (i - base);
+  std::nth_element(first, rank_i, last);
+  if (i + 1 >= n) return *rank_i;
+  return *rank_i * (1.0 - frac) + *std::min_element(rank_i + 1, last) * frac;
 }
 
 /// Smallest and largest value of column `f`.
@@ -86,6 +78,59 @@ double grid_value(double lo, double hi, std::size_t g,
 }
 
 }  // namespace
+
+PredictionInterval quantile_band(std::vector<double>& values, double mean,
+                                 double alpha, std::vector<double>& buffer) {
+  BF_CHECK_MSG(!values.empty(), "band of no values");
+  BF_CHECK_MSG(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
+  const std::size_t n = values.size();
+  const double pos_lo = alpha / 2.0 * static_cast<double>(n - 1);
+  const double pos_hi = (1.0 - alpha / 2.0) * static_cast<double>(n - 1);
+  const auto i_lo = static_cast<std::size_t>(pos_lo);
+  const auto i_hi = static_cast<std::size_t>(pos_hi);
+  // Counts of smallest and largest values the two quantiles read.
+  const std::size_t k_lo = std::min(i_lo + 2, n);
+  const std::size_t k_hi = n - i_hi;
+  // Thresholds from every kSampleStride-th value: rank j_lo from the
+  // bottom of the sample and j_hi from its top. The values at or below
+  // t_lo (at or above t_hi) are then exactly the lowest (highest) ranks
+  // of all values, ties included, so when they number at least k_lo
+  // (k_hi) the quantiles can be selected among them alone.
+  const std::size_t m = (n + kSampleStride - 1) / kSampleStride;
+  const std::size_t j_lo = k_lo / kSampleStride + kSampleSlack;
+  const std::size_t j_hi = k_hi / kSampleStride + kSampleSlack;
+  if (2 * (j_lo + j_hi + 2) <= m) {
+    buffer.resize(2 * n);
+    double* const lo = buffer.data();
+    double* const hi = lo + n;
+    for (std::size_t j = 0; j < m; ++j) lo[j] = values[j * kSampleStride];
+    std::nth_element(lo, lo + j_lo, lo + m);
+    const double t_lo = lo[j_lo];
+    std::nth_element(lo + j_lo + 1, lo + (m - 1 - j_hi), lo + m);
+    const double t_hi = lo[m - 1 - j_hi];
+    // One branch-free pass keeps the values at or beyond each threshold.
+    std::size_t n_lo = 0;
+    std::size_t n_hi = 0;
+    for (std::size_t t = 0; t < n; ++t) {
+      const double v = values[t];
+      lo[n_lo] = v;
+      n_lo += v <= t_lo ? 1 : 0;
+      hi[n_hi] = v;
+      n_hi += v >= t_hi ? 1 : 0;
+    }
+    if (n_lo >= k_lo && n_hi >= k_hi) {
+      return {mean, interpolate(lo, lo + n_lo, 0, n, pos_lo),
+              interpolate(hi, hi + n_hi, n - n_hi, n, pos_hi)};
+    }
+    // An unlucky sample left too few values beyond a threshold; `values`
+    // is untouched, so select over all of them.
+  }
+  double* const v = values.data();
+  const double q_lo = interpolate(v, v + n, 0, n, pos_lo);
+  // Ranks up to i_lo are placed: the upper quantile selects above them.
+  const std::size_t from = std::min(i_lo + 1, i_hi);
+  return {mean, q_lo, interpolate(v + from, v + n, from, n, pos_hi)};
+}
 
 FlatForest FlatForest::freeze(const RandomForest& forest) {
   BF_CHECK_MSG(forest.fitted(), "freeze on unfitted forest");
@@ -321,7 +366,6 @@ PredictionInterval FlatForest::predict_interval(const double* row,
                                                 double alpha,
                                                 ForestScratch& scratch) const {
   BF_CHECK_MSG(fitted(), "predict_interval on unfitted flat forest");
-  BF_CHECK_MSG(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
   const std::size_t nt = roots_.size();
   scratch.repaired.resize(feature_medians_.size());
   scratch.tree_values.resize(nt);
@@ -332,7 +376,8 @@ PredictionInterval FlatForest::predict_interval(const double* row,
   // predict_row.
   double acc = 0.0;
   for (std::size_t t = 0; t < nt; ++t) acc += preds[t];
-  return band(preds, acc / static_cast<double>(nt), alpha);
+  return quantile_band(preds, acc / static_cast<double>(nt), alpha,
+                       scratch.band);
 }
 
 PredictionInterval FlatForest::predict_interval(const double* row,
@@ -424,7 +469,8 @@ std::vector<PartialDependenceInterval> FlatForest::partial_dependence_interval(
     double mean = 0.0;
     for (const double s : per_tree) mean += s;
     curve[g].x = v;
-    curve[g].y = band(per_tree, mean / static_cast<double>(nt), alpha);
+    curve[g].y = quantile_band(per_tree, mean / static_cast<double>(nt),
+                               alpha, scratch.band);
   }
   return curve;
 }

@@ -80,7 +80,20 @@ struct ForestScratch {
   /// Lane state of the compacted interleaved tree walk (tree id and
   /// current node packed per lane).
   std::vector<std::int64_t> walk_lanes;
+  /// Band selection buffer (see quantile_band).
+  std::vector<double> band;
 };
+
+/// The alpha band of the non-empty per-tree `values` around `mean`: the
+/// linear-interpolation quantiles at alpha/2 and 1 - alpha/2 of their
+/// ascending order, equal bit for bit to reading them off a full sort.
+/// Thresholds picked from a strided sample keep only the values at or
+/// beyond them in one branch-free pass, and the quantiles are selected
+/// among those; when the sample left too few, or the band is too wide
+/// for that to pay, the quantiles are selected over all values.
+/// `values` is left reordered; `buffer` is reusable scratch.
+PredictionInterval quantile_band(std::vector<double>& values, double mean,
+                                 double alpha, std::vector<double>& buffer);
 
 /// One frozen node: 16 bytes, naturally aligned, so a visit touches
 /// exactly one cache line.
@@ -114,8 +127,8 @@ class FlatForest {
   /// Prediction with an empirical interval: [lo, hi] are the alpha/2 and
   /// 1-alpha/2 quantiles of the per-tree predictions (alpha = 0.1 gives
   /// an 80% band). Wide bands flag extrapolation or sparse regions.
-  /// After the call scratch.tree_values holds the sorted per-tree leaf
-  /// values.
+  /// After the call scratch.tree_values holds the per-tree leaf values,
+  /// reordered.
   PredictionInterval predict_interval(const double* row, double alpha,
                                       ForestScratch& scratch) const;
   PredictionInterval predict_interval(const double* row,

@@ -8,6 +8,10 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "core/bottleneck.hpp"
@@ -267,6 +271,59 @@ TEST(ProblemScaling, RetainedSetIncludesSize) {
   EXPECT_NE(std::find(retained.begin(), retained.end(), kSizeColumn),
             retained.end());
   EXPECT_LE(retained.size(), 7u);  // top_k + size
+}
+
+TEST(ProblemScaling, GuardedQueriesRejectSizesThatAreNotFinitePositive) {
+  ProblemScalingOptions opt;
+  opt.model.forest.n_trees = 20;
+  opt.arch = gpusim::gtx580();
+  const auto pred = ProblemScalingPredictor::build(reduce1_sweep(), opt);
+  // A NaN size would otherwise pass the hull check unflagged.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), inf, -inf, -5.0, 0.0}) {
+    EXPECT_THROW((void)pred.predict_guarded(bad), Error) << bad;
+    EXPECT_THROW((void)pred.validate({65536.0, bad}, {1.0, 1.0}), Error)
+        << bad;
+  }
+  EXPECT_GT(pred.predict_guarded(65536.0).value, 0.0);
+}
+
+TEST(ProblemScaling, LoadRejectsAForestTheQueryPlanCannotFill) {
+  ProblemScalingOptions opt;
+  opt.model.forest.n_trees = 20;
+  opt.arch = gpusim::gtx580();
+  const auto pred = ProblemScalingPredictor::build(reduce1_sweep(), opt);
+  std::ostringstream os;
+  pred.save(os);
+  const std::string text = os.str();
+  {
+    std::istringstream is(text);
+    EXPECT_EQ(ProblemScalingPredictor::load(is).predict_guarded(65536.0).value,
+              pred.predict_guarded(65536.0).value);
+  }
+  // A modelled counter the reduced forest does not take as a predictor.
+  const std::size_t models = text.find("bf_counter_models 2\n1 size ");
+  ASSERT_NE(models, std::string::npos);
+  std::string renamed = text;
+  const std::size_t entry =
+      renamed.find('\n', renamed.find("\nentries ", models) + 1) + 1;
+  renamed.replace(entry, renamed.find(' ', entry) - entry, "no_such_counter");
+  // Counter models keyed on another input than the size.
+  std::string rekeyed = text;
+  rekeyed.replace(models, std::string("bf_counter_models 2\n1 size ").size(),
+                  "bf_counter_models 2\n1 width ");
+  for (const auto& [bad, why] :
+       {std::pair{renamed, "does not take generated feature 'no_such"},
+        std::pair{rekeyed, "must take the size as their input"}}) {
+    std::istringstream is(bad);
+    try {
+      (void)ProblemScalingPredictor::load(is);
+      ADD_FAILURE() << "loaded; expected: " << why;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ProblemScaling, ReducedModelKeepsPower) {

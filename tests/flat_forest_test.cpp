@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -108,25 +111,102 @@ TEST(FlatForest, BatchedPredictMatchesRowPath) {
 }
 
 TEST(FlatForest, IntervalsBitIdenticalAcrossAlphas) {
-  const auto rf = fit_forest(4);
+  // A 25-row training set with leaves of two rows: per-tree values repeat
+  // heavily, as on problem-scaling sweeps. 500 trees take the band's
+  // sampled selection, the smaller forests select over every value.
+  const auto data = make_synthetic(25, 4);
   const auto probes = make_probes(14, 16);
-  const auto flat = FlatForest::freeze(rf);
-  ForestScratch scratch;
-  for (const double alpha : {0.02, 0.1, 0.5}) {
-    const auto got_batch = flat.predict_intervals(probes, alpha);
-    ASSERT_EQ(got_batch.size(), probes.rows());
-    for (std::size_t i = 0; i < probes.rows(); ++i) {
-      const auto want = reference_interval(rf, probes.row_ptr(i), alpha);
-      const auto got = flat.predict_interval(probes.row_ptr(i), alpha,
-                                             scratch);
-      EXPECT_EQ(got.mean, want.mean);
-      EXPECT_EQ(got.lo, want.lo);
-      EXPECT_EQ(got.hi, want.hi);
-      EXPECT_EQ(got_batch[i].mean, want.mean);
-      EXPECT_EQ(got_batch[i].lo, want.lo);
-      EXPECT_EQ(got_batch[i].hi, want.hi);
+  for (const std::size_t n_trees : {1, 7, 60, 500}) {
+    ForestParams p;
+    p.n_trees = n_trees;
+    p.min_node_size = 2;
+    p.seed = 131;
+    p.importance = false;
+    RandomForest rf;
+    rf.fit(data.x, data.y, kNames, p);
+    const auto flat = FlatForest::freeze(rf);
+    ForestScratch scratch;
+    for (const double alpha : {0.02, 0.1, 0.5}) {
+      const auto got_batch = flat.predict_intervals(probes, alpha);
+      ASSERT_EQ(got_batch.size(), probes.rows());
+      for (std::size_t i = 0; i < probes.rows(); ++i) {
+        const auto want = reference_interval(rf, probes.row_ptr(i), alpha);
+        const auto got = flat.predict_interval(probes.row_ptr(i), alpha,
+                                               scratch);
+        SCOPED_TRACE(testing::Message() << n_trees << " trees, alpha "
+                                        << alpha << ", row " << i);
+        EXPECT_EQ(got.mean, want.mean);
+        EXPECT_EQ(got.lo, want.lo);
+        EXPECT_EQ(got.hi, want.hi);
+        EXPECT_EQ(got_batch[i].mean, want.mean);
+        EXPECT_EQ(got_batch[i].lo, want.lo);
+        EXPECT_EQ(got_batch[i].hi, want.hi);
+      }
     }
   }
+}
+
+TEST(FlatForest, QuantileBandMatchesFullSortOnEveryBranch) {
+  // quantile_band selects among the values beyond thresholds taken from
+  // every 8th value, and selects over all values when the band is too
+  // wide for that (small counts, alpha 0.5) or the sample leaves too few
+  // beyond a threshold. Strided inputs force the latter on each side: the
+  // smallest (largest) values sit exactly at the sampled positions, so
+  // few values lie at or below (above) the sampled threshold.
+  const auto strided = [](std::size_t n, bool low) {
+    std::vector<double> v(n);
+    std::size_t next_sampled = 0;
+    std::size_t next_other = (n + 7) / 8;  // ranks above the sampled ones
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t rank = i % 8 == 0 ? next_sampled++ : next_other++;
+      v[i] = static_cast<double>(low ? rank : n - 1 - rank);
+    }
+    return v;
+  };
+  Rng rng(5);
+  std::vector<double> buffer;
+  for (const std::size_t n : {1, 2, 7, 60, 100, 500, 1000}) {
+    std::vector<std::pair<const char*, std::vector<double>>> inputs;
+    inputs.emplace_back("all equal", std::vector<double>(n, 0.25));
+    std::vector<double> two(n);
+    for (auto& x : two) x = rng.uniform() < 0.3 ? 1.5 : 7.0;
+    inputs.emplace_back("two values", two);
+    std::vector<double> sorted(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      sorted[i] = static_cast<double>(i / 3) * 0.7;  // runs of ties
+    }
+    inputs.emplace_back("sorted", sorted);
+    inputs.emplace_back("reversed",
+                        std::vector<double>(sorted.rbegin(), sorted.rend()));
+    inputs.emplace_back("strided low", strided(n, true));
+    inputs.emplace_back("strided high", strided(n, false));
+    std::vector<double> noisy(n);
+    for (auto& x : noisy) x = std::round(rng.uniform(0, 40)) * 0.1;
+    inputs.emplace_back("random ties", noisy);
+    for (const auto& [name, values] : inputs) {
+      for (const double alpha : {0.02, 0.1, 0.5, 0.95}) {
+        SCOPED_TRACE(testing::Message() << name << ", n " << n << ", alpha "
+                                        << alpha);
+        const auto want = reference_band(values, 1.25, alpha);
+        std::vector<double> work = values;
+        const auto got = quantile_band(work, 1.25, alpha, buffer);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.lo),
+                  std::bit_cast<std::uint64_t>(want.lo));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.hi),
+                  std::bit_cast<std::uint64_t>(want.hi));
+        EXPECT_EQ(got.mean, 1.25);
+        std::sort(work.begin(), work.end());
+        std::vector<double> sorted_values = values;
+        std::sort(sorted_values.begin(), sorted_values.end());
+        EXPECT_EQ(work, sorted_values) << "values were not only reordered";
+      }
+    }
+  }
+  std::vector<double> none;
+  EXPECT_THROW((void)quantile_band(none, 0.0, 0.1, buffer), Error);
+  std::vector<double> one = {1.0};
+  EXPECT_THROW((void)quantile_band(one, 1.0, 0.0, buffer), Error);
+  EXPECT_THROW((void)quantile_band(one, 1.0, 1.0, buffer), Error);
 }
 
 TEST(FlatForest, PartialDependenceMatchesReference) {

@@ -5,9 +5,11 @@
 // statistics, partial-dependence curves (plain and banded) of the top
 // three variables, and guarded predictions at in-hull sizes and at four
 // times the largest size, both in memory and after a bundle round trip
-// (plus the power/energy outputs of one powered bundle). Every double is
-// hashed as its IEEE-754 bit pattern, so a refactor of the inference or
-// serialisation code must leave this table untouched.
+// (plus the power/energy outputs of one powered bundle), and the text of
+// every demotion, clamp and extrapolation flag those guarded predictions
+// carry. Every double is hashed as its IEEE-754 bit pattern, so a
+// refactor of the inference, guard or serialisation code must leave this
+// table untouched.
 //
 // The table lives in tests/data/golden_predictions.txt. When a
 // deliberate model change moves predictions, the failure message prints
@@ -21,6 +23,7 @@
 #include <cstddef>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -99,6 +102,33 @@ std::string guarded_digest(const core::ProblemScalingPredictor& p,
   return d.hex();
 }
 
+/// Every guard string of one guarded prediction: its demotions, its
+/// clamps and its extrapolation flags (feature and distance bits).
+void add_guard_strings(Digest& d, const guard::PredictionGuardRecord& rec) {
+  d.count(rec.demotions.size());
+  for (const auto& line : rec.demotions) d.str(line);
+  d.count(rec.clamps.size());
+  for (const auto& line : rec.clamps) d.str(line);
+  d.count(rec.flags.size());
+  for (const auto& f : rec.flags) d.str(f.feature).num(f.distance);
+  d.end_row();
+}
+
+/// The guard text of the guarded queries plus one at 16x the largest
+/// size, where matrixMul's modelled IPC passes the issue width: the row
+/// then covers a static-cap clamp besides the time-cap clamps that fire
+/// at 4x. Power records join the time records when a predictor is given.
+void add_guard_text(Digest& d, const core::ProblemScalingPredictor& p,
+                    const power::PowerPredictor* pw,
+                    const std::vector<double>& sizes) {
+  std::vector<double> queries = query_sizes(sizes);
+  queries.push_back(16.0 * sizes.back());
+  for (const double s : queries) {
+    add_guard_strings(d, p.predict_guarded(s));
+    if (pw != nullptr) add_guard_strings(d, pw->predict_guarded(s).record);
+  }
+}
+
 std::string power_digest(const power::PowerPredictor& pw,
                          const core::ProblemScalingPredictor& time,
                          const std::vector<double>& sizes) {
@@ -172,23 +202,25 @@ void compute_case(const Case& c, const std::filesystem::path& dir,
       (dir / (std::string(c.workload) + '_' + c.arch + serve::kBundleSuffix))
           .string();
   out[key + "guarded_mem"] = guarded_digest(psp, c.sizes);
-  if (!c.power) {
-    serve::export_model(path, c.workload, c.workload, c.arch,
-                        sweep.num_rows(), psp);
-    out[key + "guarded_bundle"] =
-        guarded_digest(serve::load_bundle(path).predictor, c.sizes);
-    return;
+  std::optional<power::PowerPredictor> pw;
+  if (c.power) {
+    power::PowerPredictorOptions popts;
+    popts.scaling.model.forest.n_trees = 40;
+    popts.scaling.arch = gpusim::arch_by_name(c.arch);
+    pw = power::PowerPredictor::build(sweep, popts);
   }
-  power::PowerPredictorOptions popts;
-  popts.scaling.model.forest.n_trees = 40;
-  popts.scaling.arch = gpusim::arch_by_name(c.arch);
-  const auto pw = power::PowerPredictor::build(sweep, popts);
   serve::export_model(path, c.workload, c.workload, c.arch, sweep.num_rows(),
-                      psp, 5, &pw);
+                      psp, 5, pw ? &*pw : nullptr);
   const serve::ModelBundle loaded = serve::load_bundle(path);
-  ASSERT_TRUE(loaded.power.has_value());
+  ASSERT_EQ(loaded.power.has_value(), c.power);
   out[key + "guarded_bundle"] = guarded_digest(loaded.predictor, c.sizes);
-  out[key + "power_mem"] = power_digest(pw, psp, c.sizes);
+  Digest text;
+  add_guard_text(text, psp, pw ? &*pw : nullptr, c.sizes);
+  add_guard_text(text, loaded.predictor,
+                 loaded.power ? &*loaded.power : nullptr, c.sizes);
+  out[key + "guarded_text"] = text.hex();
+  if (!pw) return;
+  out[key + "power_mem"] = power_digest(*pw, psp, c.sizes);
   out[key + "power_bundle"] =
       power_digest(*loaded.power, loaded.predictor, c.sizes);
 }

@@ -42,42 +42,63 @@ TEST(DomainGuard, HullBoundaryDetection) {
   EXPECT_EQ(hull.range("size")->lo, 100.0);
   EXPECT_EQ(hull.range("size")->hi, 400.0);
 
-  // Span 300, margin 10% -> hull [70, 430]; the edges are still inside.
-  EXPECT_TRUE(hull.check_value("size", 430.0).empty());
-  EXPECT_TRUE(hull.check_value("size", 70.0).empty());
-  EXPECT_TRUE(hull.check_value("size", 250.0).empty());
+  // The flags one value of `feature` raises, as a one-column row.
+  const auto check_value = [&hull](const std::string& feature, double v) {
+    const double row[] = {v};
+    return hull.check_row(row, hull.slots({feature}));
+  };
 
-  const auto above = hull.check_value("size", 500.0);
+  // Span 300, margin 10% -> hull [70, 430]; the edges are still inside.
+  EXPECT_TRUE(check_value("size", 430.0).empty());
+  EXPECT_TRUE(check_value("size", 70.0).empty());
+  EXPECT_TRUE(check_value("size", 250.0).empty());
+
+  const auto above = check_value("size", 500.0);
   ASSERT_EQ(above.size(), 1u);
   EXPECT_EQ(above[0].feature, "size");
   EXPECT_NEAR(above[0].distance, 70.0 / 300.0, 1e-12);
 
-  const auto below = hull.check_value("size", 10.0);
+  const auto below = check_value("size", 10.0);
   ASSERT_EQ(below.size(), 1u);
   EXPECT_NEAR(below[0].distance, 60.0 / 300.0, 1e-12);
 
   // A constant feature has zero span: distances are absolute.
-  const auto flat = hull.check_value("flat", 6.5);
+  const auto flat = check_value("flat", 6.5);
   ASSERT_EQ(flat.size(), 1u);
   EXPECT_NEAR(flat[0].distance, 1.5, 1e-12);
 
   // Untracked features and non-finite queries never flag.
-  EXPECT_TRUE(hull.check_value("unknown", 1e18).empty());
-  EXPECT_TRUE(hull.check_value("size", std::nan("")).empty());
+  EXPECT_TRUE(check_value("unknown", 1e18).empty());
+  EXPECT_TRUE(check_value("size", std::nan("")).empty());
 }
 
 TEST(DomainGuard, CheckRowCoversEveryTrackedColumn) {
   ml::Dataset train;
   train.add_column("a", {0, 1, 2});
   train.add_column("b", {10, 20, 30});
-  const auto hull = guard::DomainGuard::build(train, {"a", "b"}, 0.0);
+  train.add_column("c", {1, 2, 3});
+  const auto hull = guard::DomainGuard::build(train, {"a", "b", "c"}, 0.0);
 
-  ml::Dataset query;
-  query.add_column("a", {5});   // out of hull
-  query.add_column("b", {25});  // in hull
-  const auto flags = hull.check_row(query, 0);
+  // Rows laid out as (b, x, a): "c" is not carried, "x" is not tracked.
+  const auto slots = hull.slots({"b", "x", "a"});
+  ASSERT_EQ(slots.size(), 3u);
+  EXPECT_EQ(slots[0], 2u);
+  EXPECT_EQ(slots[1], 0u);
+  EXPECT_EQ(slots[2], guard::kNoSlot);
+
+  const double query[] = {25.0, 1e18, 5.0};  // b in hull, a out of it
+  const auto flags = hull.check_row(query, slots);
   ASSERT_EQ(flags.size(), 1u);
   EXPECT_EQ(flags[0].feature, "a");
+  EXPECT_EQ(flags[0].value, 5.0);
+  EXPECT_NEAR(flags[0].distance, 1.5, 1e-12);  // 3 beyond a span of 2
+
+  const double both_out[] = {40.0, 0.0, -1.0};
+  const auto two = hull.check_row(both_out, slots);
+  ASSERT_EQ(two.size(), 2u);  // in range order: a, then b
+  EXPECT_EQ(two[0].feature, "a");
+  EXPECT_EQ(two[1].feature, "b");
+  EXPECT_THROW((void)hull.check_row(query, {0, 2}), Error);
 }
 
 // ---- grading ----
@@ -151,41 +172,71 @@ TEST(PhysicalCaps, StaticCapsFromBothArchSpecs) {
 
 TEST(PhysicalCaps, TimeCapsBoundTransactionsAndInstructions) {
   const auto arch = gpusim::gtx580();
-  const double time_ms = 1.0;
-  const auto caps = guard::time_caps(arch, time_ms);
-
-  const auto* tx = find_cap(caps, "dram_read_transactions");
-  ASSERT_NE(tx, nullptr);
+  const auto caps = guard::time_caps(arch, 1.0);
+  ASSERT_TRUE(caps.has_value());
   // bandwidth x time / 32-byte segments.
-  EXPECT_NEAR(tx->max_value, 192.4e9 * 1e-3 / 32.0, 1e-3);
-
-  const auto* inst = find_cap(caps, "inst_executed");
-  ASSERT_NE(inst, nullptr);
+  EXPECT_NEAR(caps->max_transactions, 192.4e9 * 1e-3 / 32.0, 1e-3);
   // SMs x schedulers x dispatch x clock x time.
-  EXPECT_NEAR(inst->max_value, 16.0 * 2.0 * 1.0 * 1.544e9 * 1e-3, 1e-3);
+  EXPECT_NEAR(caps->max_issued, 16.0 * 2.0 * 1.0 * 1.544e9 * 1e-3, 1e-3);
+
+  // Each time-capped counter obeys its law's bound.
+  std::vector<std::string> counters;
+  for (const auto& tc : guard::kTimeCapped) {
+    counters.push_back(tc.counter);
+    const bool bus = std::string(tc.counter).rfind("dram_", 0) == 0;
+    EXPECT_EQ(caps->bound(tc.law),
+              bus ? caps->max_transactions : caps->max_issued)
+        << tc.counter;
+  }
+  EXPECT_EQ(counters,
+            (std::vector<std::string>{"dram_read_transactions",
+                                      "dram_write_transactions",
+                                      "inst_executed", "inst_issued"}));
+  EXPECT_EQ(guard::time_cap_reason(guard::TimeLaw::kBusTransactions,
+                                   caps->max_transactions),
+            "bandwidth x predicted time allows <= 6.012e+06 transactions");
+  EXPECT_EQ(guard::time_cap_reason(guard::TimeLaw::kIssueRate,
+                                   caps->max_issued),
+            "issue rate x predicted time allows <= 4.941e+07 warp "
+            "instructions");
 
   // No predicted time, no time caps.
-  EXPECT_TRUE(guard::time_caps(arch, 0.0).empty());
-  EXPECT_TRUE(guard::time_caps(arch, -1.0).empty());
+  EXPECT_FALSE(guard::time_caps(arch, 0.0).has_value());
+  EXPECT_FALSE(guard::time_caps(arch, -1.0).has_value());
+  EXPECT_FALSE(guard::time_caps(arch, std::nan("")).has_value());
 }
 
-TEST(PhysicalCaps, ClampRowHonoursTolerance) {
-  ml::Dataset features;
-  features.add_column("achieved_occupancy", {1.01});
-  features.add_column("ipc", {9.0});
-  features.add_column("untouched", {123.0});
-  const auto caps = guard::static_caps(gpusim::gtx580());
+TEST(PhysicalCaps, ClampHonoursToleranceAndReportsTheLaw) {
+  // Within-tolerance violations are not clamps; clear ones are, and
+  // non-finite values are left to the prediction guard.
+  EXPECT_FALSE(guard::exceeds_cap(1.01, 1.0, 0.02));
+  EXPECT_FALSE(guard::exceeds_cap(1.0, 1.0, 0.02));
+  EXPECT_TRUE(guard::exceeds_cap(1.03, 1.0, 0.02));
+  EXPECT_TRUE(guard::exceeds_cap(9.0, 2.0, 0.02));
+  EXPECT_FALSE(guard::exceeds_cap(std::nan(""), 2.0, 0.02));
 
-  const auto events = guard::clamp_row_to_caps(features, 0, caps, 0.02);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].counter, "ipc");
-  EXPECT_EQ(events[0].from, 9.0);
-  EXPECT_EQ(events[0].to, 2.0);
-  // Within-tolerance occupancy is left alone; the violating value was
-  // clamped in place; unrelated columns are untouched.
-  EXPECT_EQ(features.column("achieved_occupancy")[0], 1.01);
-  EXPECT_EQ(features.column("ipc")[0], 2.0);
-  EXPECT_EQ(features.column("untouched")[0], 123.0);
+  const auto caps = guard::static_caps(gpusim::gtx580());
+  const auto* ipc = find_cap(caps, "ipc");
+  ASSERT_NE(ipc, nullptr);
+  EXPECT_EQ(guard::clamp_text(ipc->counter, 9.0, ipc->max_value, ipc->reason),
+            "ipc: 9 -> 2 (IPC <= schedulers x dispatch units (2))");
+
+  // The board envelope clamps power from both sides and says why.
+  const auto arch = gpusim::gtx580();
+  std::vector<std::string> clamps;
+  EXPECT_EQ(guard::clamp_power_to_envelope(arch, arch.tdp_w * 1.01, 0.02,
+                                           clamps),
+            arch.tdp_w * 1.01);
+  EXPECT_TRUE(clamps.empty());
+  EXPECT_EQ(guard::clamp_power_to_envelope(arch, 2.0 * arch.tdp_w, 0.02,
+                                           clamps),
+            arch.tdp_w);
+  EXPECT_EQ(guard::clamp_power_to_envelope(arch, 0.0, 0.02, clamps),
+            arch.idle_w);
+  ASSERT_EQ(clamps.size(), 2u);
+  EXPECT_EQ(clamps[0].rfind("power_avg_w: ", 0), 0u);
+  EXPECT_NE(clamps[0].find("board power <= TDP"), std::string::npos);
+  EXPECT_NE(clamps[1].find("board power >= idle floor"), std::string::npos);
 }
 
 // ---- counter-model fallback chains ----

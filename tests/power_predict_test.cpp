@@ -7,13 +7,18 @@
 
 #include <unistd.h>
 
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/io.hpp"
+#include "common/thread_pool.hpp"
 #include "core/predictor.hpp"
 #include "gpusim/arch.hpp"
 #include "ml/dataset.hpp"
@@ -246,6 +251,82 @@ TEST_F(PowerArtifactTest, ServeRepliesCarryPowerFields) {
   }
   EXPECT_TRUE(saw_pw);
   EXPECT_TRUE(saw_plain);
+}
+
+TEST(PowerPredict, GuardedQueriesRejectSizesThatAreNotFinitePositive) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), inf, -5.0, 0.0}) {
+    EXPECT_THROW((void)shared_power().predict_guarded(bad), Error) << bad;
+    EXPECT_THROW((void)shared_power().predict_guarded(
+                     bad, shared_time().predict_guarded(65536.0)),
+                 Error)
+        << bad;
+  }
+}
+
+/// The IEEE bits of every double and the text of every string a guarded
+/// prediction carries.
+std::string record_bits(const guard::PredictionGuardRecord& rec) {
+  std::string out;
+  for (const double v : {rec.size, rec.value, rec.raw_value, rec.lo, rec.hi,
+                         rec.interval_width}) {
+    out += to_hex64(std::bit_cast<std::uint64_t>(v)) + ' ';
+  }
+  out += guard::grade_letter(rec.grade);
+  for (const auto& f : rec.flags) {
+    out += ' ' + f.feature + ' ' +
+           to_hex64(std::bit_cast<std::uint64_t>(f.distance));
+  }
+  for (const auto& line : rec.demotions) out += '|' + line;
+  for (const auto& line : rec.clamps) out += '|' + line;
+  return out;
+}
+
+TEST_F(PowerArtifactTest, PoolQueriesOnOneBundleMatchSerialBits) {
+  // bf_serve answers a batch from one loaded bundle on the shared pool
+  // (Server::handle_batch). The query plan a load resolves is read-only
+  // from then on, so concurrent queries must give the serial bits. 200
+  // trees put the interval band on its sampled selection; 16x the
+  // largest size fires clamps.
+  core::ProblemScalingOptions pso;
+  pso.model.forest.n_trees = 200;
+  pso.arch = gpusim::gtx580();
+  power::PowerPredictorOptions popts = small_power_options("gtx580");
+  popts.scaling.model.forest.n_trees = 200;
+  const auto time = core::ProblemScalingPredictor::build(shared_sweep(), pso);
+  const auto pw = power::PowerPredictor::build(shared_sweep(), popts);
+  serve::export_model(bundle_path("pool"), "pool", "reduce1", "gtx580",
+                      shared_sweep().num_rows(), time, 5, &pw);
+  const serve::ModelBundle bundle = serve::load_bundle(bundle_path("pool"));
+  ASSERT_TRUE(bundle.power.has_value());
+
+  const std::vector<double> sizes = {16384.0,  20000.0,  65536.0,
+                                     300000.0, 1048576.0, 16777216.0};
+  const auto answer = [&](double size) {
+    const auto rec = bundle.predictor.predict_guarded(size);
+    const auto power = bundle.power->predict_guarded(size, rec);
+    return record_bits(rec) + " / " +
+           to_hex64(std::bit_cast<std::uint64_t>(power.power_w)) + ' ' +
+           to_hex64(std::bit_cast<std::uint64_t>(power.energy_j)) + ' ' +
+           guard::grade_letter(power.energy_grade) + ' ' +
+           record_bits(power.record);
+  };
+  std::vector<std::string> serial;
+  for (const double size : sizes) serial.push_back(answer(size));
+  bool clamped = false;
+  for (const double size : sizes) {
+    clamped |= !bundle.predictor.predict_guarded(size).clamps.empty();
+  }
+  EXPECT_TRUE(clamped);
+
+  constexpr std::size_t kQueries = 240;
+  std::vector<std::string> pooled(kQueries);
+  ThreadPool::global().parallel_for(0, kQueries, [&](std::size_t i) {
+    pooled[i] = answer(sizes[i % sizes.size()]);
+  });
+  for (std::size_t i = 0; i < kQueries; ++i) {
+    EXPECT_EQ(pooled[i], serial[i % sizes.size()]) << "query " << i;
+  }
 }
 
 TEST_F(PowerArtifactTest, AnnotateSeriesFillsPowerRows) {

@@ -9,6 +9,7 @@
 //              --predict 96 --predict 384 --repo /tmp/bf_runs
 //   bf_analyze --workload needle --arch k20m --check
 //   bf_analyze --list
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -137,7 +138,10 @@ Args parse(int argc, char** argv) {
     } else if (a == "--fault-seed") {
       args.fault_seed = static_cast<std::uint64_t>(parse_int(next()));
     } else if (a == "--predict") {
-      args.predict.push_back(parse_double(next()));
+      const double size = parse_double(next());
+      BF_CHECK_MSG(std::isfinite(size) && size > 0.0,
+                   "--predict needs a finite positive size, got " << size);
+      args.predict.push_back(size);
     } else if (a == "--guard-margin") {
       args.guard_margin = parse_double(next());
     } else if (a == "--strict-guard") {
