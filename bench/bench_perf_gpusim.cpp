@@ -1,7 +1,9 @@
 // P2: google-benchmark microbenchmarks of the GPU simulator — the cost
-// of one profiled run per workload and the hot primitives (coalescer,
-// bank-conflict detection, cache).
+// of one profiled run per workload, of whole sweeps, and the hot
+// primitives (coalescer, bank-conflict detection, cache).
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "gpusim/cache.hpp"
 #include "gpusim/coalescer.hpp"
@@ -11,6 +13,8 @@
 #include "kernels/matmul.hpp"
 #include "kernels/nw.hpp"
 #include "kernels/reduce.hpp"
+#include "profiling/sweep.hpp"
+#include "profiling/workloads.hpp"
 
 namespace {
 
@@ -47,6 +51,23 @@ void BM_SimNw(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimNw)->Arg(512)->Arg(2048)->Unit(benchmark::kMillisecond);
+
+// A whole sweep as perfbench's analyses collect it: its sizes run at once
+// on the shared pool, so wall time is the measure.
+void BM_Sweep(benchmark::State& state, const char* workload,
+              const std::vector<double>& sizes) {
+  const Device device(gtx580());
+  const profiling::Workload w = profiling::workload_by_name(workload);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(profiling::sweep(w, device, sizes).num_rows());
+  }
+}
+BENCHMARK_CAPTURE(BM_Sweep, needle, "needle",
+                  profiling::log2_sizes(64, 8192, 25, 16))
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(BM_Sweep, matrixMul, "matrixMul",
+                  profiling::log2_sizes(32, 1024, 17, 16))
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_Coalescer(benchmark::State& state) {
   WarpInstr in;

@@ -111,9 +111,27 @@ std::map<std::string, double> Profiler::derive_metrics(
   return filtered;
 }
 
+SimulatedRun simulate(const Workload& workload, const gpusim::Device& device,
+                      double problem_size) {
+  SimulatedRun run;
+  try {
+    run.result = workload.run(device, problem_size);
+  } catch (...) {
+    run.error = std::current_exception();
+  }
+  return run;
+}
+
 ProfileResult Profiler::profile(const Workload& workload,
                                 const gpusim::Device& device,
                                 double problem_size) {
+  return measure(workload, device, problem_size,
+                 simulate(workload, device, problem_size));
+}
+
+ProfileResult Profiler::measure(const Workload& workload,
+                                const gpusim::Device& device,
+                                double problem_size, const SimulatedRun& run) {
   BF_CHECK_MSG(static_cast<bool>(workload.run),
                "workload '" << workload.name << "' has no run function");
   // Injected driver crash: the run aborts before the workload executes
@@ -122,8 +140,8 @@ ProfileResult Profiler::profile(const Workload& workload,
     throw Error("injected fault: profiler run of '" + workload.name +
                 "' crashed");
   }
-  const gpusim::AggregateResult agg =
-      workload.run(device, problem_size);
+  if (run.error) std::rethrow_exception(run.error);
+  const gpusim::AggregateResult& agg = run.result;
   // Injected timeout: the run completed but took too long; its data is
   // discarded exactly as a watchdog kill would.
   if (fault::should_fire(fault::points::kProfilerRunTimeout)) {

@@ -1,28 +1,17 @@
 #include "profiling/sweep.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <sstream>
-#include <thread>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/thread_pool.hpp"
 #include "gpusim/arch.hpp"
 
 namespace bf::profiling {
 namespace {
-
-void backoff_sleep(const SweepOptions& options, int attempt) {
-  if (options.backoff_initial_ms <= 0.0) return;
-  const double delay = std::min(
-      options.backoff_max_ms,
-      options.backoff_initial_ms * std::exp2(static_cast<double>(attempt - 1)));
-  if (delay <= 0.0) return;
-  std::this_thread::sleep_for(
-      std::chrono::duration<double, std::milli>(delay));
-}
 
 /// Reject replicates whose time deviates from the median by more than
 /// `threshold` scaled MADs. Returns the number rejected. With fewer than
@@ -105,11 +94,20 @@ ml::Dataset sweep(const Workload& workload, const gpusim::Device& device,
   SweepReport& rep = report != nullptr ? *report : local;
   rep = SweepReport{};
 
+  // Simulate each size once, all sizes at once. A run is deterministic
+  // and draws no faults or noise, so re-measuring the stored run for each
+  // attempt and replicate below gives the bytes a fresh run would.
+  std::vector<SimulatedRun> runs(sizes.size());
+  ThreadPool::global().parallel_for(0, sizes.size(), [&](std::size_t i) {
+    runs[i] = simulate(workload, device, sizes[i]);
+  });
+
   ml::Dataset ds;
   bool schema_ready = false;
   std::vector<std::string> counter_names;
 
-  for (const double size : sizes) {
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const double size = sizes[i];
     SizeOutcome so;
     so.size = size;
 
@@ -121,14 +119,11 @@ ml::Dataset sweep(const Workload& workload, const gpusim::Device& device,
         ++so.attempts;
         if (attempt > 1) ++rep.retried_attempts;
         try {
-          reps.push_back(profiler.profile(workload, device, size));
+          reps.push_back(profiler.measure(workload, device, size, runs[i]));
           got = true;
           break;
         } catch (const Error& e) {
           so.errors.emplace_back(e.what());
-          if (attempt < options.max_attempts) {
-            backoff_sleep(options, attempt);
-          }
         }
       }
       if (got) {

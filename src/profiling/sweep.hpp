@@ -7,12 +7,16 @@
 // hardware scaling) and the "time_ms" response.
 //
 // On real hardware the collection stage is the flaky one, so the driver
-// carries a first-class failure policy: per-size retry with bounded
-// exponential backoff, k-replicate collection with median aggregation and
-// MAD outlier rejection, NaN cells for dropped counters, and a
-// min_success_fraction partial-sweep gate. Every decision is recorded in
-// a SweepReport. The defaults reproduce the classic strict single-run
-// sweep bit for bit.
+// carries a first-class failure policy: per-size retry, k-replicate
+// collection with median aggregation and MAD outlier rejection, NaN cells
+// for dropped counters, and a min_success_fraction partial-sweep gate.
+// Every decision is recorded in a SweepReport. The defaults reproduce the
+// classic strict single-run sweep bit for bit.
+//
+// The simulator is deterministic, so each size is simulated once (all
+// sizes in parallel) and every attempt and replicate re-measures that run:
+// the injected faults and the measurement noise are drawn per measurement,
+// in size order, exactly as if each attempt had run the workload again.
 #pragma once
 
 #include <string>
@@ -44,10 +48,6 @@ struct SweepOptions {
   int replicates = 1;
   /// Attempts per replicate before it counts as failed (1 = no retry).
   int max_attempts = 3;
-  /// First retry delay; doubles per attempt, capped at backoff_max_ms.
-  /// 0 disables sleeping (the default, so tests stay fast).
-  double backoff_initial_ms = 0.0;
-  double backoff_max_ms = 50.0;
   /// Required fraction of sizes yielding at least one replicate; below
   /// it the sweep throws bf::Error instead of returning a partial
   /// dataset. 1.0 = any fully-failed size aborts (classic behaviour).
@@ -60,7 +60,7 @@ struct SweepOptions {
 /// Collection diary for one problem size.
 struct SizeOutcome {
   double size = 0.0;
-  int attempts = 0;            ///< total profiler invocations
+  int attempts = 0;            ///< total measurements of the size's run
   int replicates_ok = 0;
   int replicates_failed = 0;   ///< exhausted max_attempts
   int outliers_rejected = 0;   ///< replicates discarded by the MAD gate

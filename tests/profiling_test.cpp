@@ -4,10 +4,18 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/fault.hpp"
+#include "common/io.hpp"
+#include "gpusim/arch.hpp"
 #include "gpusim/engine.hpp"
 #include "profiling/counter_registry.hpp"
 #include "profiling/profiler.hpp"
@@ -200,6 +208,125 @@ TEST(Sweep, SizeHelpers) {
 TEST(Sweep, EmptySizesRejected) {
   const Device dev(gtx580());
   EXPECT_THROW(sweep(vecadd_workload(), dev, {}), Error);
+}
+
+// ---- the failure policy over stored runs ----
+
+/// fnv1a64 over one sweep under heavy crash and timeout faults plus
+/// counter dropout and noise spikes: its CSV, its report text and the
+/// evaluated/fired counts of every armed point.
+std::string armed_sweep_digest(const std::string& workload,
+                               const std::string& arch,
+                               const std::vector<double>& sizes,
+                               std::uint64_t seed, SweepReport& report) {
+  const fault::ScopedFaults faults(
+      "profiler.run_crash:0.8,profiler.run_timeout:0.5,"
+      "profiler.counter_dropout:0.02,profiler.noise_spike:0.2",
+      seed);
+  SweepOptions options;
+  options.replicates = 3;
+  options.max_attempts = 5;
+  options.min_success_fraction = 0.5;
+  const ml::Dataset ds =
+      sweep(workload_by_name(workload), Device(gpusim::arch_by_name(arch)),
+            sizes, options, &report);
+  std::ostringstream os;
+  ds.to_csv().write(os);
+  os << report.to_text();
+  for (const char* point :
+       {fault::points::kProfilerRunCrash, fault::points::kProfilerRunTimeout,
+        fault::points::kProfilerCounterDropout,
+        fault::points::kProfilerNoiseSpike}) {
+    const fault::PointStats s = fault::stats(point);
+    os << point << ' ' << s.evaluated << ' ' << s.fired << '\n';
+  }
+  return to_hex64(fnv1a64(os.str()));
+}
+
+// The digests were taken from a sweep that re-ran the workload for every
+// attempt. Simulating each size once must leave the retries, replicates,
+// fault draws, MAD rejection and partial-sweep gate byte-identical.
+TEST(Sweep, FaultArmedSweepsMatchReference) {
+  SweepReport reduce;
+  EXPECT_EQ(armed_sweep_digest("reduce1", "gtx580",
+                               {16384, 32768, 65536, 131072, 262144, 524288},
+                               5, reduce),
+            "ba02a664746918cf");
+  SweepReport needle;
+  EXPECT_EQ(armed_sweep_digest("needle", "k20m", log2_sizes(64, 1024, 6, 16),
+                               2, needle),
+            "561c1c5279b5806c");
+  for (const SweepReport* r : {&reduce, &needle}) {
+    EXPECT_GT(r->retried_attempts, 0u);
+    EXPECT_GT(r->sizes_failed, 0u);
+    EXPECT_GT(r->sizes_ok, r->sizes_failed);
+  }
+}
+
+TEST(Sweep, SimulatesEachSizeOnce) {
+  // Crashes force retries and every size has three replicates, yet each
+  // attempt re-measures the size's one stored run.
+  const fault::ScopedFaults faults("profiler.run_crash:0.3", 42);
+  const Workload inner = workload_by_name("reduce1");
+  std::atomic<int> calls{0};
+  Workload counted;
+  counted.name = inner.name;
+  counted.run = [&](const Device& device, double size) {
+    ++calls;
+    return inner.run(device, size);
+  };
+  SweepOptions options;
+  options.replicates = 3;
+  options.max_attempts = 10;
+  SweepReport report;
+  const std::vector<double> sizes = {16384, 32768, 65536, 131072};
+  const ml::Dataset ds =
+      sweep(counted, Device(gtx580()), sizes, options, &report);
+  EXPECT_EQ(ds.num_rows(), sizes.size());
+  EXPECT_GT(report.retried_attempts, 0u);
+  EXPECT_EQ(calls.load(), static_cast<int>(sizes.size()));
+}
+
+/// reduce1, except that its run throws `error` at `bad_size`.
+template <typename Exception>
+Workload throwing_at(double bad_size, const Exception& error) {
+  const Workload inner = reduce_workload(1);
+  Workload w;
+  w.name = inner.name;
+  w.run = [inner, bad_size, error](const Device& device, double size) {
+    if (size == bad_size) throw error;
+    return inner.run(device, size);
+  };
+  return w;
+}
+
+TEST(Sweep, ErrorInsideRunFailsOnlyThatSize) {
+  const std::string message = "device lost at size 32768";
+  SweepOptions options;
+  options.min_success_fraction = 0.5;
+  SweepReport report;
+  const ml::Dataset ds =
+      sweep(throwing_at(32768, Error(message)), Device(gtx580()),
+            {16384, 32768, 65536, 131072}, options, &report);
+  EXPECT_EQ(ds.column(kSizeColumn),
+            (std::vector<double>{16384, 65536, 131072}));
+  EXPECT_EQ(report.sizes_ok, 3u);
+  EXPECT_EQ(report.sizes_failed, 1u);
+  ASSERT_EQ(report.sizes.size(), 4u);
+  const SizeOutcome& lost = report.sizes[1];
+  EXPECT_FALSE(lost.ok);
+  EXPECT_EQ(lost.attempts, options.max_attempts);
+  EXPECT_EQ(lost.errors, std::vector<std::string>(
+                             static_cast<std::size_t>(options.max_attempts),
+                             message));
+}
+
+TEST(Sweep, NonLibraryExceptionInsideRunPropagates) {
+  SweepOptions options;
+  options.min_success_fraction = 0.5;
+  EXPECT_THROW(sweep(throwing_at(32768, std::logic_error("kernel bug")),
+                     Device(gtx580()), {16384, 32768, 65536}, options),
+               std::logic_error);
 }
 
 // ---- repository ----
