@@ -10,6 +10,7 @@
 #include "core/model.hpp"
 #include "core/predictor.hpp"
 #include "cpusim/cpu_workloads.hpp"
+#include "profiling/cpu_sweep.hpp"
 #include "ml/metrics.hpp"
 
 int main() {
@@ -22,7 +23,7 @@ int main() {
   std::vector<double> sizes;
   for (int n = 64; n <= 1024; n += 48) sizes.push_back(n);
   const auto sweep =
-      cpusim::cpu_sweep(cpusim::cpu_matmul_workload(), device, sizes);
+      profiling::cpu_sweep(cpusim::cpu_matmul_workload(), device, sizes);
   std::printf("collected %zu runs of cpu_matmul, n in [64, 1024]\n\n",
               sweep.num_rows());
 

@@ -13,6 +13,7 @@
 #include "bench_util.hpp"
 #include "core/predictor.hpp"
 #include "cpusim/cpu_workloads.hpp"
+#include "profiling/cpu_sweep.hpp"
 #include "profiling/workloads.hpp"
 
 int main() {
@@ -32,7 +33,7 @@ int main() {
   const cpusim::CpuDevice cpu(cpusim::xeon_e5_2620());
   std::vector<double> cpu_sizes;
   for (int n = 64; n <= 1024; n += 48) cpu_sizes.push_back(n);
-  const auto cpu_sweep_ds = cpusim::cpu_sweep(
+  const auto cpu_sweep_ds = profiling::cpu_sweep(
       cpusim::cpu_matmul_workload(), cpu, cpu_sizes);
   core::ProblemScalingOptions cpu_opt;
   const auto cpu_pred =

@@ -8,6 +8,7 @@
 #include "core/bottleneck.hpp"
 #include "core/model.hpp"
 #include "cpusim/cpu_workloads.hpp"
+#include "profiling/cpu_sweep.hpp"
 
 int main() {
   using namespace bf;
@@ -18,7 +19,7 @@ int main() {
   std::printf("profiling cpu_matmul on %s (%zu sizes)...\n",
               device.spec().name.c_str(), sizes.size());
   const auto sweep =
-      cpusim::cpu_sweep(cpusim::cpu_matmul_workload(), device, sizes);
+      profiling::cpu_sweep(cpusim::cpu_matmul_workload(), device, sizes);
 
   core::ModelOptions opt;
   opt.forest.n_trees = 300;

@@ -50,7 +50,6 @@ std::optional<Violation> Rule::check(const CounterView& view,
 
   Violation v;
   v.rule = id;
-  v.severity = severity;
   v.lhs = *l;
   v.rhs = *r;
   std::ostringstream os;
@@ -134,7 +133,7 @@ std::vector<Violation> validate_dataset(const ml::Dataset& ds,
 std::string to_string(const std::vector<Violation>& violations) {
   std::ostringstream os;
   for (const auto& v : violations) {
-    os << (v.severity == Severity::kError ? "error" : "warning");
+    os << "error";
     if (v.row >= 0) os << " [row " << v.row << "]";
     os << ": " << v.message << "\n";
   }
@@ -143,12 +142,9 @@ std::string to_string(const std::vector<Violation>& violations) {
 
 void throw_if_errors(const std::vector<Violation>& violations,
                      const std::string& context) {
-  std::size_t errors = 0;
-  for (const auto& v : violations) {
-    if (v.severity == Severity::kError) ++errors;
-  }
-  if (errors == 0) return;
-  BF_FAIL("counter invariants violated for " << context << " (" << errors
+  if (violations.empty()) return;
+  BF_FAIL("counter invariants violated for " << context << " ("
+                                             << violations.size()
                                              << " error(s)):\n"
                                              << to_string(violations));
 }

@@ -32,13 +32,10 @@
 
 namespace bf::check {
 
-enum class Severity { kWarning, kError };
-
 /// One violated invariant, with the evaluated sides for diagnosis.
 struct Violation {
   std::string rule;     ///< rule id, e.g. "gld_trans_ge_requests"
   std::string message;  ///< human-readable law + observed values
-  Severity severity = Severity::kError;
   double lhs = 0.0;
   double rhs = 0.0;
   /// Row index for dataset validation (-1 for single counter sets).
@@ -78,7 +75,6 @@ enum class Relation { kLe, kGe, kEq };
 struct Rule {
   std::string id;
   std::string description;
-  Severity severity = Severity::kError;
   Relation rel = Relation::kLe;
   Expr lhs;
   Expr rhs;
@@ -123,11 +119,12 @@ std::vector<Violation> validate_dataset(
     const ml::Dataset& ds, const gpusim::ArchSpec& arch,
     const Options& options = measured_tolerance());
 
-/// Render violations one per line (empty string when none).
+/// Render violations one per line, each prefixed "error" (empty string
+/// when none).
 std::string to_string(const std::vector<Violation>& violations);
 
-/// Throw bf::Error listing the violations when any has Severity::kError.
-/// `context` names the data under validation in the error message.
+/// Throw bf::Error listing the violations when there are any. `context`
+/// names the data under validation in the error message.
 void throw_if_errors(const std::vector<Violation>& violations,
                      const std::string& context);
 

@@ -83,12 +83,10 @@ Expr mul(Expr a, Expr b) {
 
 Rule rule(std::string id, Expr lhs, Relation rel, Expr rhs,
           std::string description,
-          std::function<bool(const ArchSpec&)> applies = nullptr,
-          Severity severity = Severity::kError) {
+          std::function<bool(const ArchSpec&)> applies = nullptr) {
   Rule r;
   r.id = std::move(id);
   r.description = std::move(description);
-  r.severity = severity;
   r.rel = rel;
   r.lhs = std::move(lhs);
   r.rhs = std::move(rhs);

@@ -36,4 +36,12 @@ std::int64_t parse_int(std::string_view s);
 /// Format a byte/size count with a human suffix (e.g. "16.0 MB").
 std::string human_bytes(double bytes);
 
+/// Escape a string for embedding between JSON double quotes: quote,
+/// backslash and every control character.
+std::string json_escape(std::string_view s);
+
+/// Render a double as JSON with 17 significant digits (round-trips
+/// exactly); non-finite values, which JSON cannot carry, become null.
+std::string json_number(double v);
+
 }  // namespace bf

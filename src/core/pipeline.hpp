@@ -19,7 +19,6 @@
 #include "core/model.hpp"
 #include "core/pca_refine.hpp"
 #include "gpusim/arch.hpp"
-#include "guard/guard.hpp"
 #include "ml/dataset.hpp"
 #include "profiling/profiler.hpp"
 #include "profiling/sweep.hpp"
@@ -63,15 +62,6 @@ struct AnalysisOutcome {
   /// What missing-value resolution dropped/imputed (empty when the
   /// collection was fully observed).
   ml::MissingValueReport missing;
-  /// Model-health report of the prediction stage (disabled/empty until a
-  /// predictor runs; bf_analyze --predict fills it).
-  bf::guard::GuardReport guard;
-  /// Second-response analysis (bf::power): the energy-bottleneck report
-  /// ranked over the power response. core never fills these — the power
-  /// layer does when power analysis is enabled, so the time-only
-  /// pipeline is untouched.
-  bool power_enabled = false;
-  BottleneckReport energy_report;
   /// Human-readable degradation warnings accumulated across stages.
   std::vector<std::string> warnings;
 };

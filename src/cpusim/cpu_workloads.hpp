@@ -1,11 +1,9 @@
-// CPU kernels and the sweep adapter for the heterogeneous extension.
+// CPU kernels for the heterogeneous extension.
 //
 // Kernels are the CPU-side analogues of the paper's workloads: blocked
 // SIMD matrix multiply, STREAM triad, and a row-parallel Needleman-
-// Wunsch. The sweep adapter produces the same kind of ml::Dataset the
-// GPU profiler produces (counters + "size" + "time_ms"), so the entire
-// BlackForest core runs unchanged on CPU data — the unified-modelling
-// claim of §7.
+// Wunsch. profiling::cpu_sweep (profiling/cpu_sweep.hpp) turns them into
+// the same kind of ml::Dataset the GPU profiler produces.
 #pragma once
 
 #include <functional>
@@ -13,9 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "cpusim/cpu_engine.hpp"
-#include "ml/dataset.hpp"
 
 namespace bf::cpusim {
 
@@ -74,19 +70,5 @@ struct CpuWorkload {
 CpuWorkload cpu_matmul_workload();
 CpuWorkload cpu_triad_workload();
 CpuWorkload cpu_nw_workload();
-
-struct CpuSweepOptions {
-  double time_noise_sd = 0.02;
-  double counter_noise_sd = 0.003;
-  std::uint64_t seed = 555;
-  bool machine_characteristics = false;
-  CpuRunOptions run;
-};
-
-/// Profile `workload` across sizes into a BlackForest-ready dataset
-/// ("size" + perf counters + "time_ms").
-ml::Dataset cpu_sweep(const CpuWorkload& workload, const CpuDevice& device,
-                      const std::vector<double>& sizes,
-                      const CpuSweepOptions& options = {});
 
 }  // namespace bf::cpusim

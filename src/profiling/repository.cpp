@@ -107,9 +107,6 @@ void RunRepository::save(const std::string& workload, const std::string& arch,
 
 std::optional<ml::Dataset> RunRepository::handle_corrupt(
     const std::string& path, const std::string& reason) const {
-  if (!options_.quarantine_on_corrupt) {
-    BF_FAIL("corrupt repository entry " << path << ": " << reason);
-  }
   const std::string quarantined = path + ".quarantined";
   std::error_code ec;
   fs::rename(path, quarantined, ec);

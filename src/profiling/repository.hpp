@@ -26,11 +26,6 @@ struct RepositoryOptions {
   /// breaks a conservation law would silently poison every model trained
   /// from it, so this is on by default.
   bool validate_on_load = true;
-  /// Quarantine corrupt files (bad checksum, truncated, unparseable)
-  /// instead of throwing: the entry is renamed to "<entry>.quarantined"
-  /// and load() returns nullopt so the sweep is recollected. When false,
-  /// corruption throws bf::Error (strict mode).
-  bool quarantine_on_corrupt = true;
 };
 
 class RunRepository {
@@ -72,7 +67,7 @@ class RunRepository {
   std::string path_for(const std::string& workload,
                        const std::string& arch) const;
   /// Move a damaged entry aside and report; returns nullopt (the load
-  /// result) or rethrows in strict mode.
+  /// result).
   std::optional<ml::Dataset> handle_corrupt(const std::string& path,
                                             const std::string& reason) const;
 

@@ -49,19 +49,4 @@ void export_bars_csv(
   table.save(path);
 }
 
-void export_metrics_json(
-    const std::string& path,
-    const std::vector<std::pair<std::string, double>>& metrics) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  BF_CHECK_MSG(f != nullptr, "cannot open for writing: " << path);
-  std::fprintf(f, "{\n");
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    std::fprintf(f, "  \"%s\": %.17g%s\n", metrics[i].first.c_str(),
-                 metrics[i].second,
-                 i + 1 < metrics.size() ? "," : "");
-  }
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-}
-
 }  // namespace bf::report

@@ -1,5 +1,5 @@
 // Machine-readable figure export: every bench prints ASCII for the
-// terminal and can also drop CSV/JSON artefacts for real plotting.
+// terminal and can also drop CSV artefacts for real plotting.
 #pragma once
 
 #include <string>
@@ -18,11 +18,5 @@ void export_series_csv(const std::string& path,
 void export_bars_csv(
     const std::string& path,
     const std::vector<std::pair<std::string, double>>& bars);
-
-/// Minimal JSON export of named scalar results:
-/// {"name": value, ...} — handy for tracking reproduction metrics.
-void export_metrics_json(
-    const std::string& path,
-    const std::vector<std::pair<std::string, double>>& metrics);
 
 }  // namespace bf::report

@@ -4,32 +4,11 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/string_util.hpp"
 #include "report/ascii.hpp"
 
 namespace bf::report {
 namespace {
-
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
 
 void print_string_array(std::FILE* f, const char* key,
                         const std::vector<std::string>& values,
@@ -78,13 +57,15 @@ void export_guard_json(const std::string& path,
   std::fprintf(f, "  \"enabled\": %s,\n", report.enabled ? "true" : "false");
   std::fprintf(f, "  \"worst_grade\": \"%c\",\n",
                bf::guard::grade_letter(report.worst()));
-  std::fprintf(f, "  \"margin\": %s,\n", num(report.options.margin).c_str());
+  std::fprintf(f, "  \"margin\": %s,\n",
+               json_number(report.options.margin).c_str());
   std::fprintf(f, "  \"hull\": [\n");
   for (std::size_t i = 0; i < report.hull.size(); ++i) {
     const auto& r = report.hull[i];
     std::fprintf(f, "    {\"feature\": \"%s\", \"lo\": %s, \"hi\": %s}%s\n",
-                 json_escape(r.name).c_str(), num(r.lo).c_str(),
-                 num(r.hi).c_str(), i + 1 < report.hull.size() ? "," : "");
+                 json_escape(r.name).c_str(), json_number(r.lo).c_str(),
+                 json_number(r.hi).c_str(),
+                 i + 1 < report.hull.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"counters\": [\n");
@@ -95,8 +76,9 @@ void export_guard_json(const std::string& path,
                  json_escape(c.counter).c_str());
     std::fprintf(f, "      \"model\": \"%s\",\n",
                  json_escape(c.chosen).c_str());
-    std::fprintf(f, "      \"r2\": %s,\n", num(c.r2).c_str());
-    std::fprintf(f, "      \"cv_rmse\": %s,\n", num(c.cv_rmse).c_str());
+    std::fprintf(f, "      \"r2\": %s,\n", json_number(c.r2).c_str());
+    std::fprintf(f, "      \"cv_rmse\": %s,\n",
+                 json_number(c.cv_rmse).c_str());
     print_string_array(f, "chain", c.chain, "      ", true);
     std::fprintf(f, "      \"demotions\": %d,\n", c.demotions);
     std::fprintf(f, "      \"clamps\": %d\n", c.clamps);
@@ -108,13 +90,14 @@ void export_guard_json(const std::string& path,
   for (std::size_t i = 0; i < report.predictions.size(); ++i) {
     const auto& p = report.predictions[i];
     std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"size\": %s,\n", num(p.size).c_str());
-    std::fprintf(f, "      \"value\": %s,\n", num(p.value).c_str());
-    std::fprintf(f, "      \"raw_value\": %s,\n", num(p.raw_value).c_str());
-    std::fprintf(f, "      \"lo\": %s,\n", num(p.lo).c_str());
-    std::fprintf(f, "      \"hi\": %s,\n", num(p.hi).c_str());
+    std::fprintf(f, "      \"size\": %s,\n", json_number(p.size).c_str());
+    std::fprintf(f, "      \"value\": %s,\n", json_number(p.value).c_str());
+    std::fprintf(f, "      \"raw_value\": %s,\n",
+                 json_number(p.raw_value).c_str());
+    std::fprintf(f, "      \"lo\": %s,\n", json_number(p.lo).c_str());
+    std::fprintf(f, "      \"hi\": %s,\n", json_number(p.hi).c_str());
     std::fprintf(f, "      \"interval_width\": %s,\n",
-                 num(p.interval_width).c_str());
+                 json_number(p.interval_width).c_str());
     std::fprintf(f, "      \"grade\": \"%c\",\n",
                  bf::guard::grade_letter(p.grade));
     std::fprintf(f, "      \"extrapolated\": %s,\n",
@@ -123,7 +106,7 @@ void export_guard_json(const std::string& path,
     for (std::size_t j = 0; j < p.flags.size(); ++j) {
       std::fprintf(f, "{\"feature\": \"%s\", \"distance\": %s}%s",
                    json_escape(p.flags[j].feature).c_str(),
-                   num(p.flags[j].distance).c_str(),
+                   json_number(p.flags[j].distance).c_str(),
                    j + 1 < p.flags.size() ? ", " : "");
     }
     std::fprintf(f, "],\n");

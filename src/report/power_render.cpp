@@ -4,35 +4,11 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/string_util.hpp"
 #include "guard/guard.hpp"
 #include "report/ascii.hpp"
 
 namespace bf::report {
-namespace {
-
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string power_text(const bf::core::PredictionSeries& series) {
   if (series.power_w.empty()) return {};
@@ -67,16 +43,17 @@ void export_power_json(const std::string& path,
   std::fprintf(f, "  \"predictions\": [\n");
   for (std::size_t i = 0; i < series.power_w.size(); ++i) {
     std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"size\": %s,\n",
-                 num(i < series.sizes.size() ? series.sizes[i] : 0.0).c_str());
-    std::fprintf(f, "      \"power_w\": %s,\n", num(series.power_w[i]).c_str());
-    std::fprintf(
-        f, "      \"energy_j\": %s,\n",
-        num(i < series.energy_j.size() ? series.energy_j[i] : 0.0).c_str());
+    const double size = i < series.sizes.size() ? series.sizes[i] : 0.0;
+    const double energy =
+        i < series.energy_j.size() ? series.energy_j[i] : 0.0;
+    std::fprintf(f, "      \"size\": %s,\n", json_number(size).c_str());
+    std::fprintf(f, "      \"power_w\": %s,\n",
+                 json_number(series.power_w[i]).c_str());
+    std::fprintf(f, "      \"energy_j\": %s,\n", json_number(energy).c_str());
     if (i < series.power_guard.size()) {
       const auto& rec = series.power_guard[i];
-      std::fprintf(f, "      \"lo\": %s,\n", num(rec.lo).c_str());
-      std::fprintf(f, "      \"hi\": %s,\n", num(rec.hi).c_str());
+      std::fprintf(f, "      \"lo\": %s,\n", json_number(rec.lo).c_str());
+      std::fprintf(f, "      \"hi\": %s,\n", json_number(rec.hi).c_str());
       std::fprintf(f, "      \"extrapolated\": %s,\n",
                    rec.extrapolated ? "true" : "false");
       std::fprintf(f, "      \"clamps\": [");

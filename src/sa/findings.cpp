@@ -1,38 +1,11 @@
 #include "sa/findings.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
+#include "common/string_util.hpp"
+
 namespace bf::sa {
-namespace {
-
-/// Minimal JSON string escaping (the sa layer sits below serve, so it
-/// cannot reuse bf::serve::json_escape without inverting the DAG).
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 const char* severity_name(Severity s) {
   return s == Severity::kError ? "error" : "warning";
@@ -83,12 +56,12 @@ std::string render_json(const std::vector<Finding>& findings,
   for (std::size_t i = 0; i < findings.size(); ++i) {
     const Finding& f = findings[i];
     os << (i == 0 ? "\n" : ",\n");
-    os << "    {\"file\": \"" << escape(f.file) << "\", "
+    os << "    {\"file\": \"" << json_escape(f.file) << "\", "
        << "\"line\": " << f.line << ", "
-       << "\"rule\": \"" << escape(f.rule) << "\", "
+       << "\"rule\": \"" << json_escape(f.rule) << "\", "
        << "\"severity\": \"" << severity_name(f.severity) << "\", "
-       << "\"key\": \"" << escape(finding_key(f)) << "\", "
-       << "\"message\": \"" << escape(f.message) << "\"}";
+       << "\"key\": \"" << json_escape(finding_key(f)) << "\", "
+       << "\"message\": \"" << json_escape(f.message) << "\"}";
   }
   os << (findings.empty() ? "]\n" : "\n  ]\n");
   os << "}\n";

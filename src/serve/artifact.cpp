@@ -97,6 +97,7 @@ ModelBundle payload_from_string(const std::string& payload,
   is >> tag >> n_probes;
   BF_CHECK_MSG(is && tag == "probes" && n_probes <= 10'000,
                origin << ": bad bundle meta (probes)");
+  BF_CHECK_MSG(n_probes > 0, origin << ": bundle records no golden probes");
   bundle.meta.probes.resize(n_probes);
   for (auto& p : bundle.meta.probes) {
     is >> p.size >> p.predicted_ms;
@@ -253,25 +254,10 @@ bool validate_canary(const ModelBundle& bundle, double rtol,
   if (fault::should_fire(fault::points::kServeReloadCanaryFail)) {
     return fail("injected canary failure");
   }
-  std::vector<GoldenProbe> probes = bundle.meta.probes;
-  const bool recorded = !probes.empty();
-  if (!recorded) {
-    // Probe-less bundle: synthesize sizes from the training hull and
-    // check the predictions are well-formed (there is no recorded
-    // output to compare against).
-    const auto* range = bundle.predictor.hull().range(profiling::kSizeColumn);
-    if (range == nullptr) return true;  // no size column in the hull
-    const double lo = std::max(range->lo, 1.0);
-    const double hi = std::max(range->hi, lo);
-    constexpr int kSynthesized = 3;
-    for (int i = 0; i < kSynthesized; ++i) {
-      const double t =
-          kSynthesized == 1 ? 0.0 : static_cast<double>(i) / (kSynthesized - 1);
-      probes.push_back({std::exp(std::log(lo) + t * (std::log(hi) - std::log(lo))),
-                        0.0});
-    }
+  if (bundle.meta.probes.empty()) {
+    return fail("bundle records no golden probes");
   }
-  for (const auto& p : probes) {
+  for (const auto& p : bundle.meta.probes) {
     guard::PredictionGuardRecord pred;
     try {
       pred = bundle.predictor.predict_guarded(p.size);
@@ -293,16 +279,14 @@ bool validate_canary(const ModelBundle& bundle, double rtol,
          << " (grade " << grade << ")";
       return fail(os.str());
     }
-    if (recorded) {
-      const double tol = rtol * std::max(std::abs(p.predicted_ms), 1e-12);
-      if (std::abs(pred.value - p.predicted_ms) > tol) {
-        std::ostringstream os;
-        os.precision(17);
-        os << "canary probe size=" << p.size << " predicted " << pred.value
-           << " but the bundle recorded " << p.predicted_ms << " (rtol "
-           << rtol << ")";
-        return fail(os.str());
-      }
+    const double tol = rtol * std::max(std::abs(p.predicted_ms), 1e-12);
+    if (std::abs(pred.value - p.predicted_ms) > tol) {
+      std::ostringstream os;
+      os.precision(17);
+      os << "canary probe size=" << p.size << " predicted " << pred.value
+         << " but the bundle recorded " << p.predicted_ms << " (rtol " << rtol
+         << ")";
+      return fail(os.str());
     }
   }
   return true;
@@ -314,6 +298,11 @@ void export_model(const std::string& path, const std::string& name,
                   const core::ProblemScalingPredictor& predictor,
                   std::size_t probe_count,
                   const bf::power::PowerPredictor* power) {
+  BF_CHECK_MSG(probe_count > 0,
+               "export_model: a bundle needs at least one golden probe");
+  const auto* range = predictor.hull().range(profiling::kSizeColumn);
+  BF_CHECK_MSG(range != nullptr,
+               "export_model: the predictor has no size range to probe");
   ModelBundle bundle;
   if (power != nullptr) bundle.power = *power;
   bundle.meta.name = name;
@@ -326,21 +315,17 @@ void export_model(const std::string& path, const std::string& name,
   // Record golden probes: log-spaced sizes across the training hull,
   // answered by the exporter's own predictor. Round-trips are
   // bit-identical, so a healthy reload reproduces these outputs exactly.
-  const auto* range = predictor.hull().range(profiling::kSizeColumn);
-  if (probe_count > 0 && range != nullptr) {
-    const double lo = std::max(range->lo, 1.0);
-    const double hi = std::max(range->hi, lo);
-    bundle.meta.probes.reserve(probe_count);
-    for (std::size_t i = 0; i < probe_count; ++i) {
-      const double t = probe_count == 1
-                           ? 0.0
-                           : static_cast<double>(i) /
-                                 static_cast<double>(probe_count - 1);
-      const double size =
-          std::exp(std::log(lo) + t * (std::log(hi) - std::log(lo)));
-      bundle.meta.probes.push_back(
-          {size, predictor.predict_guarded(size).value});
-    }
+  const double lo = std::max(range->lo, 1.0);
+  const double hi = std::max(range->hi, lo);
+  bundle.meta.probes.reserve(probe_count);
+  for (std::size_t i = 0; i < probe_count; ++i) {
+    const double t = probe_count == 1
+                         ? 0.0
+                         : static_cast<double>(i) /
+                               static_cast<double>(probe_count - 1);
+    const double size =
+        std::exp(std::log(lo) + t * (std::log(hi) - std::log(lo)));
+    bundle.meta.probes.push_back({size, predictor.predict_guarded(size).value});
   }
   save_bundle(path, bundle);
 }

@@ -62,9 +62,8 @@ struct BundleMeta {
   /// Counter-name schema: the reduced model's predictor columns, in
   /// order. Validated against the embedded forest on load.
   std::vector<std::string> schema;
-  /// Golden-probe record written at export time. A bundle exported
-  /// without probes is canary-checked against hull-synthesized sizes
-  /// instead.
+  /// Golden-probe record written at export time; never empty in a
+  /// bundle that loads.
   std::vector<GoldenProbe> probes;
 };
 
@@ -96,7 +95,7 @@ std::string bundle_to_string(const ModelBundle& bundle);
 
 /// Parse and validate bundle file content. `origin` names the source in
 /// diagnostics. Throws bf::Error on any validation failure (magic,
-/// version, checksum, truncation, schema mismatch).
+/// version, checksum, truncation, schema mismatch, empty probe record).
 ModelBundle bundle_from_string(const std::string& content,
                                const std::string& origin);
 
@@ -119,20 +118,22 @@ BundleFile load_bundle_file(const std::string& path);
 /// bundles that parse but fail canary validation).
 void quarantine_bundle(const std::string& path);
 
-/// Golden-probe canary validation: every probe prediction must be
-/// finite, non-negative, guard-gradeable, and within `rtol` relative
-/// tolerance of the bundle's own recorded output. Bundles without a
-/// probe record are checked for finiteness on sizes synthesized from
-/// the training hull. The fault point serve.reload.canary_fail forces a
-/// failure deterministically. Returns true when the canary passes;
-/// otherwise fills `why` with the first violation.
+/// Golden-probe canary validation: the bundle must record at least one
+/// probe, and every probe prediction must be finite, non-negative,
+/// guard-gradeable, and within `rtol` relative tolerance of the
+/// bundle's own recorded output. The fault point
+/// serve.reload.canary_fail forces a failure deterministically. Returns
+/// true when the canary passes; otherwise fills `why` with the first
+/// violation.
 bool validate_canary(const ModelBundle& bundle, double rtol,
                      std::string* why);
 
-/// Convenience: assemble meta + predictor and save. `probe_count` > 0
-/// records that many golden probes (log-spaced across the training
-/// hull) into the bundle for reload-time canary validation. A non-null
-/// `power` predictor is embedded as the optional power record.
+/// Convenience: assemble meta + predictor and save. `probe_count`
+/// golden probes (log-spaced across the training hull) are recorded
+/// into the bundle for load-time canary validation; throws bf::Error,
+/// writing nothing, when `probe_count` is 0 or the predictor's hull has
+/// no size range. A non-null `power` predictor is embedded as the
+/// optional power record.
 void export_model(const std::string& path, const std::string& name,
                   const std::string& workload, const std::string& arch,
                   std::size_t trained_rows,

@@ -87,12 +87,11 @@ NetServer::NetServer(Server& server, NetServerOptions options)
   set_nonblocking(wake_read_fd_);
   set_nonblocking(wake_write_fd_);
   if (!options_.unix_path.empty()) {
-    listeners_.push_back(listen_unix(options_.unix_path, options_.backlog));
+    listeners_.push_back(listen_unix(options_.unix_path));
   }
   if (options_.tcp_port >= 0) {
     const int fd = listen_tcp(options_.tcp_host,
-                              static_cast<std::uint16_t>(options_.tcp_port),
-                              options_.backlog);
+                              static_cast<std::uint16_t>(options_.tcp_port));
     listeners_.push_back(fd);
     tcp_port_ = local_port(fd);
   }
@@ -173,7 +172,6 @@ void NetServer::accept_pending(int listener) {
       return;
     }
     counters_.accepted.fetch_add(1, std::memory_order_relaxed);
-    accepted_any_ = true;
     const std::uint64_t id = next_conn_id_++;
     auto conn = std::make_unique<Conn>(fd, id, options_.max_line, now_ms());
     counters_.active_conns.fetch_add(1, std::memory_order_relaxed);
@@ -537,13 +535,6 @@ int NetServer::run() {
     }
 
     if (draining_ && fully_drained() && conns_.empty()) break;
-    if (options_.once && accepted_any_ && !draining_) {
-      bool all_closed = true;
-      for (const auto& [id, conn] : conns_) {
-        if (!conn->dead) all_closed = false;
-      }
-      if (all_closed) begin_drain();
-    }
   }
 
   {

@@ -53,8 +53,6 @@ struct NetServerOptions {
   /// (see NetServer::tcp_port()).
   int tcp_port = -1;
   std::string tcp_host = "127.0.0.1";
-  /// listen(2) backlog for both listeners.
-  int backlog = 64;
   /// Maximum simultaneously open connections; beyond it a new
   /// connection is answered with one structured error line and closed.
   std::size_t max_conns = 256;
@@ -71,8 +69,6 @@ struct NetServerOptions {
   std::size_t workers = 2;
   /// Cap on one request line (longer poisons the connection).
   std::size_t max_line = LineBuffer::kDefaultMaxLine;
-  /// Exit after the first accepted connection closes (bf_serve --once).
-  bool once = false;
   /// Test hook: runs on the worker thread before each batch (lets the
   /// overload tests hold the queue saturated deterministically).
   std::function<void()> before_batch;
@@ -144,7 +140,6 @@ class NetServer {
   std::uint64_t next_conn_id_ = 1;
   std::size_t queued_ = 0;  ///< mirror of counters_.queue_depth
   bool draining_ = false;
-  bool accepted_any_ = false;
   std::int64_t accept_cooldown_until_ms_ = 0;
   std::int64_t drain_deadline_ms_ = 0;
 

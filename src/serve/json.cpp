@@ -1,8 +1,6 @@
 #include "serve/json.hpp"
 
 #include <cctype>
-#include <cmath>
-#include <cstdio>
 
 #include "common/error.hpp"
 #include "common/string_util.hpp"
@@ -212,37 +210,6 @@ const JsonValue* JsonValue::find(std::string_view key) const {
 
 JsonValue parse_json(std::string_view text) {
   return Parser(text).parse_document();
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 }  // namespace bf::serve

@@ -1,4 +1,4 @@
-// A minimal JSON reader/writer for the bf_serve request/response
+// A minimal JSON reader for the bf_serve request/response
 // protocol (newline-delimited JSON objects). Supports the full value
 // grammar (objects, arrays, strings with escapes, numbers, booleans,
 // null) but is tuned for the small flat objects the server exchanges;
@@ -10,6 +10,8 @@
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "common/string_util.hpp"
 
 namespace bf::serve {
 
@@ -32,11 +34,9 @@ struct JsonValue {
 /// trailing non-whitespace.
 JsonValue parse_json(std::string_view text);
 
-/// Escape a string for embedding between double quotes.
-std::string json_escape(std::string_view s);
-
-/// Render a double as JSON: shortest round-trip decimal; non-finite
-/// values (which JSON cannot carry) become null.
-std::string json_number(double v);
+/// The writers are bf::json_escape and bf::json_number
+/// (common/string_util.hpp); serve::json_number names the latter for
+/// callers outside the library.
+using bf::json_number;
 
 }  // namespace bf::serve

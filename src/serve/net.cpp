@@ -19,6 +19,10 @@ namespace {
 
 std::string errno_text() { return std::strerror(errno); }
 
+/// listen(2) backlog of every listener. Admission control and the
+/// connection cap bound the load above the kernel queue.
+constexpr int kListenBacklog = 64;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -77,7 +81,7 @@ void set_nonblocking(int fd) {
                "fcntl(F_SETFL, O_NONBLOCK): " << errno_text());
 }
 
-int listen_unix(const std::string& path, int backlog) {
+int listen_unix(const std::string& path) {
   ignore_sigpipe();
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   BF_CHECK_MSG(fd >= 0, "socket(AF_UNIX): " << errno_text());
@@ -96,7 +100,7 @@ int listen_unix(const std::string& path, int backlog) {
     ::close(fd);
     BF_FAIL("cannot bind " << path << ": " << why);
   }
-  if (::listen(fd, backlog) != 0) {
+  if (::listen(fd, kListenBacklog) != 0) {
     const std::string why = errno_text();
     ::close(fd);
     BF_FAIL("cannot listen on " << path << ": " << why);
@@ -105,7 +109,7 @@ int listen_unix(const std::string& path, int backlog) {
   return fd;
 }
 
-int listen_tcp(const std::string& host, std::uint16_t port, int backlog) {
+int listen_tcp(const std::string& host, std::uint16_t port) {
   ignore_sigpipe();
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   BF_CHECK_MSG(fd >= 0, "socket(AF_INET): " << errno_text());
@@ -124,7 +128,7 @@ int listen_tcp(const std::string& host, std::uint16_t port, int backlog) {
     ::close(fd);
     BF_FAIL("cannot bind " << host << ":" << port << ": " << why);
   }
-  if (::listen(fd, backlog) != 0) {
+  if (::listen(fd, kListenBacklog) != 0) {
     const std::string why = errno_text();
     ::close(fd);
     BF_FAIL("cannot listen on " << host << ":" << port << ": " << why);

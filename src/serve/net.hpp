@@ -12,7 +12,7 @@
 //     stdin/batch paths and shares the exact same line semantics.
 //
 //   * Listener setup. listen_unix()/listen_tcp() create non-blocking
-//     listeners with a configurable backlog; accept_ready() drains one
+//     listeners with a listen(2) backlog of 64; accept_ready() drains one
 //     ready listener EINTR-safely and classifies transient failures
 //     (EMFILE/ENFILE/ECONNABORTED) so the event loop can back off
 //     instead of spinning hot on a failing accept.
@@ -98,11 +98,11 @@ void set_nonblocking(int fd);
 
 /// Create a non-blocking Unix-domain listener at `path` (any stale
 /// socket file is replaced). Throws bf::Error with errno context.
-int listen_unix(const std::string& path, int backlog);
+int listen_unix(const std::string& path);
 
 /// Create a non-blocking TCP listener on host:port (numeric IPv4 host;
 /// port 0 picks an ephemeral port). Throws bf::Error with errno context.
-int listen_tcp(const std::string& host, std::uint16_t port, int backlog);
+int listen_tcp(const std::string& host, std::uint16_t port);
 
 /// The port a TCP listener actually bound (resolves port 0).
 std::uint16_t local_port(int fd);

@@ -77,19 +77,22 @@ void ModelRegistry::note_failure_locked(Lifecycle& lc,
   lc.retry_after = Clock::now() + std::chrono::milliseconds(delay);
 }
 
-std::shared_ptr<const LoadedModel> ModelRegistry::promote_locked(
-    const std::string& name, BundleFile&& staged) {
+std::shared_ptr<const LoadedModel> ModelRegistry::next_generation_locked(
+    const std::string& name, BundleFile& staged) {
   Lifecycle& lc = lifecycle_[name];
   auto model = std::make_shared<LoadedModel>();
   model->bundle = std::move(staged.bundle);
   model->generation = lc.next_generation++;
   model->checksum = std::move(staged.checksum);
   model->loaded_at = now_utc();
-  model->size_bytes = staged.size_bytes;
-  model->mtime_ns = staged.mtime_ns;
   lc.consecutive_failures = 0;
   lc.last_error.clear();
+  return model;
+}
 
+std::shared_ptr<const LoadedModel> ModelRegistry::promote_locked(
+    const std::string& name, BundleFile&& staged) {
+  auto model = next_generation_locked(name, staged);
   std::promise<std::shared_ptr<const LoadedModel>> ready_promise;
   ready_promise.set_value(model);
   Entry entry;
@@ -156,17 +159,7 @@ std::shared_ptr<const LoadedModel> ModelRegistry::get(
       std::shared_ptr<const LoadedModel> model;
       {
         std::lock_guard<std::mutex> lock(mu_);
-        Lifecycle& lc = lifecycle_[name];
-        auto loaded = std::make_shared<LoadedModel>();
-        loaded->bundle = std::move(staged.bundle);
-        loaded->generation = lc.next_generation++;
-        loaded->checksum = std::move(staged.checksum);
-        loaded->loaded_at = now_utc();
-        loaded->size_bytes = staged.size_bytes;
-        loaded->mtime_ns = staged.mtime_ns;
-        lc.consecutive_failures = 0;
-        lc.last_error.clear();
-        model = loaded;
+        model = next_generation_locked(name, staged);
         auto it = entries_.find(name);
         if (it != entries_.end() && it->second.id == my_id) {
           it->second.ready = true;

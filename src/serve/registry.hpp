@@ -51,8 +51,6 @@ struct LoadedModel {
   std::uint64_t generation = 0;  ///< per-name, monotonic, survives eviction
   std::string checksum;          ///< fnv1a64 hex of the bundle payload
   std::string loaded_at;         ///< UTC timestamp of the promotion
-  std::uint64_t size_bytes = 0;  ///< stat snapshot at load time
-  std::int64_t mtime_ns = 0;
 };
 
 /// Reload supervision knobs (the PR 2 sweep retry-policy shape: an
@@ -146,8 +144,6 @@ class ModelRegistry {
   std::vector<ModelInfo> models() const;
 
   RegistryStats stats() const;
-  std::size_t capacity() const { return capacity_; }
-  const ReloadPolicy& policy() const { return policy_; }
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -192,9 +188,15 @@ class ModelRegistry {
   /// count, arm the backoff deadline, cache the error text.
   void note_failure_locked(Lifecycle& lc, const std::string& error);
 
-  /// Build a LoadedModel from a staged file and install it as a ready
-  /// entry under `name`, assigning the next generation. Returns the
-  /// promoted model. Caller holds the lock.
+  /// Build the next generation of `name` from a validated staged file
+  /// (moving its bundle and checksum out) and clear the name's failure
+  /// backoff. Caller holds the lock.
+  std::shared_ptr<const LoadedModel> next_generation_locked(
+      const std::string& name, BundleFile& staged);
+
+  /// Install a reloaded generation as the ready entry under `name`
+  /// and count the promotion. Returns the promoted model. Caller holds
+  /// the lock.
   std::shared_ptr<const LoadedModel> promote_locked(const std::string& name,
                                                     BundleFile&& staged);
 

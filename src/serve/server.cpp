@@ -4,10 +4,12 @@
 #include <cmath>
 #include <exception>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "power/predictor.hpp"
 #include "serve/json.hpp"
 
@@ -88,12 +90,6 @@ Server::Server(const ServerOptions& options)
     : registry_(options.model_dir, options.cache_capacity, options.reload),
       allow_reload_(options.allow_reload),
       watch_ms_(options.allow_reload ? options.reload_watch_ms : 0) {
-  if (options.threads > 0) {
-    owned_pool_ = std::make_unique<ThreadPool>(options.threads);
-    pool_ = owned_pool_.get();
-  } else {
-    pool_ = &ThreadPool::global();
-  }
   if (watch_ms_ > 0) {
     watcher_ = std::thread(&Server::watch_loop, this);
   }
@@ -289,6 +285,7 @@ std::string Server::handle_line(const std::string& line) {
 
 std::vector<std::string> Server::handle_batch(
     const std::vector<std::string>& lines) {
+  ThreadPool& pool = ThreadPool::global();
   std::vector<Request> requests;
   requests.reserve(lines.size());
   for (const auto& line : lines) requests.push_back(parse_request(line));
@@ -315,7 +312,7 @@ std::vector<std::string> Server::handle_batch(
   std::vector<std::string> names;
   names.reserve(resolved.size());
   for (const auto& [name, unused] : resolved) names.push_back(name);
-  pool_->parallel_for(0, names.size(), [&](std::size_t i) {
+  pool.parallel_for(0, names.size(), [&](std::size_t i) {
     // find() keeps the concurrent map access read-only on the tree
     // structure; each task writes only its own slot. Pool tasks must
     // not throw: fold load errors into the reply text.
@@ -354,7 +351,7 @@ std::vector<std::string> Server::handle_batch(
   if (duplicates > 0) {
     coalesced_.fetch_add(duplicates, std::memory_order_relaxed);
   }
-  pool_->parallel_for(0, keys.size(), [&](std::size_t i) {
+  pool.parallel_for(0, keys.size(), [&](std::size_t i) {
     Computed& slot = computed.find(keys[i])->second;
     const Request& req = *representative[i];
     const auto t0 = std::chrono::steady_clock::now();
@@ -375,7 +372,7 @@ std::vector<std::string> Server::handle_batch(
   });
 
   std::vector<std::string> replies(requests.size());
-  pool_->parallel_for(0, requests.size(), [&](std::size_t i) {
+  pool.parallel_for(0, requests.size(), [&](std::size_t i) {
     const Request& req = requests[i];
     if (!req.valid) {
       replies[i] = make_error_reply(req.id_json, "malformed", req.parse_error);

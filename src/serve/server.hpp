@@ -17,8 +17,8 @@
 // itself never dies on bad input and the cache stays consistent.
 // Batches are grouped per model (one registry resolution per distinct
 // model), identical (model, size) rows are computed once per batch
-// (coalescing), and the work is fanned across the thread pool with
-// replies emitted in input order.
+// (coalescing), and the work is fanned across the process-wide
+// ThreadPool::global() with replies emitted in input order.
 //
 // Hot reload: admin verbs and the optional staleness watcher (a
 // Server-owned thread polling ModelRegistry::poll_stale every
@@ -32,13 +32,11 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "serve/net.hpp"
 #include "serve/registry.hpp"
 
@@ -60,8 +58,6 @@ std::string make_error_reply(const std::string& id_json,
 struct ServerOptions {
   std::string model_dir = ".";
   std::size_t cache_capacity = 8;
-  /// Worker threads for batch fan-out; 0 uses the process-global pool.
-  std::size_t threads = 0;
   /// Reload supervision (canary tolerance, failure backoff).
   ReloadPolicy reload;
   /// Staleness watcher period; 0 disables the watcher thread (reloads
@@ -83,7 +79,7 @@ class Server {
 
   /// Serve a batch of request lines; replies are positionally aligned
   /// with the inputs. Predict requests are grouped per model and run
-  /// concurrently on the pool.
+  /// concurrently on ThreadPool::global().
   std::vector<std::string> handle_batch(const std::vector<std::string>& lines);
 
   ModelRegistry& registry() { return registry_; }
@@ -111,8 +107,6 @@ class Server {
   void watch_loop();
 
   ModelRegistry registry_;
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_;
   const NetCounters* net_ = nullptr;
   std::atomic<std::uint64_t> coalesced_{0};
   bool allow_reload_ = true;

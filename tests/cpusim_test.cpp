@@ -4,6 +4,7 @@
 #include "common/error.hpp"
 #include "core/model.hpp"
 #include "cpusim/cpu_workloads.hpp"
+#include "profiling/cpu_sweep.hpp"
 
 namespace bf::cpusim {
 namespace {
@@ -97,7 +98,7 @@ TEST(CpuEngine, FasterChipIsFaster) {
 TEST(CpuSweep, ProducesBlackForestReadyDataset) {
   const CpuDevice dev(xeon_e5_2620());
   const auto ds =
-      cpu_sweep(cpu_matmul_workload(), dev, {64, 128, 192, 256});
+      profiling::cpu_sweep(cpu_matmul_workload(), dev, {64, 128, 192, 256});
   EXPECT_EQ(ds.num_rows(), 4u);
   EXPECT_TRUE(ds.has_column("size"));
   EXPECT_TRUE(ds.has_column("time_ms"));
@@ -110,10 +111,10 @@ TEST(CpuSweep, ProducesBlackForestReadyDataset) {
 
 TEST(CpuSweep, MachineCharacteristicsInjected) {
   const CpuDevice dev(core_i7_4770k());
-  CpuSweepOptions opt;
+  profiling::CpuSweepOptions opt;
   opt.machine_characteristics = true;
-  const auto ds = cpu_sweep(cpu_triad_workload(), dev,
-                            {1 << 16, 1 << 18}, opt);
+  const auto ds = profiling::cpu_sweep(cpu_triad_workload(), dev,
+                                       {1 << 16, 1 << 18}, opt);
   EXPECT_TRUE(ds.has_column("cores"));
   EXPECT_DOUBLE_EQ(ds.at(0, "cores"), 4.0);
 }
@@ -124,7 +125,7 @@ TEST(CpuPipeline, BlackForestCoreRunsUnchangedOnCpuData) {
   const CpuDevice dev(xeon_e5_2620());
   std::vector<double> sizes;
   for (int n = 64; n <= 512; n += 32) sizes.push_back(n);
-  const auto ds = cpu_sweep(cpu_matmul_workload(), dev, sizes);
+  const auto ds = profiling::cpu_sweep(cpu_matmul_workload(), dev, sizes);
 
   core::ModelOptions opt;
   opt.forest.n_trees = 150;

@@ -5,7 +5,6 @@
 
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 
 #include "common/error.hpp"
 #include "ml/cv.hpp"
@@ -122,18 +121,6 @@ TEST_F(ExportTest, BarsCsv) {
   const auto table = CsvTable::load(path("b.csv"));
   EXPECT_EQ(table.cell(0, "label"), "shared_load");
   EXPECT_DOUBLE_EQ(table.cell_as_double(1, "value"), -1.0);
-}
-
-TEST_F(ExportTest, MetricsJson) {
-  report::export_metrics_json(path("m.json"),
-                              {{"mse", 3.25}, {"expl_var", 0.5}});
-  std::ifstream is(path("m.json"));
-  std::string all((std::istreambuf_iterator<char>(is)),
-                  std::istreambuf_iterator<char>());
-  EXPECT_NE(all.find("\"mse\": 3.25"), std::string::npos);
-  EXPECT_NE(all.find("\"expl_var\": 0.5"), std::string::npos);
-  EXPECT_EQ(all.front(), '{');
-  EXPECT_EQ(all[all.size() - 2], '}');
 }
 
 }  // namespace

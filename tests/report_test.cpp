@@ -1,8 +1,18 @@
-// Tests for the ASCII reporting helpers.
+// Tests for the ASCII reporting helpers and the guard JSON export.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <limits>
+#include <string>
+
 #include "common/error.hpp"
+#include "common/io.hpp"
 #include "report/ascii.hpp"
+#include "report/guard_render.hpp"
+#include "serve/json.hpp"
 
 namespace bf::report {
 namespace {
@@ -82,6 +92,42 @@ TEST(Table, RaggedRowRejected) {
 TEST(Cell, FormatsFixedPrecision) {
   EXPECT_EQ(cell(3.14159, 2), "3.14");
   EXPECT_EQ(cell(10.0, 0), "10");
+}
+
+TEST(GuardJson, NonFiniteNumbersAndControlCharactersStayValidJson) {
+  // A counter whose CV folds could not be fitted ranks at +inf, and a
+  // counter name may carry any byte; the export must still parse.
+  guard::GuardReport report;
+  report.enabled = true;
+  guard::CounterGuardRecord counter;
+  counter.counter = "inst\tissued\x01";
+  counter.chosen = "mars";
+  counter.r2 = std::numeric_limits<double>::quiet_NaN();
+  counter.cv_rmse = std::numeric_limits<double>::infinity();
+  counter.chain = {"mars", "glm"};
+  report.counters.push_back(counter);
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("bf_guard_json_" + std::to_string(::getpid()) + ".json"))
+          .string();
+  export_guard_json(path, report);
+  const std::string text = *read_file(path);
+  std::filesystem::remove(path);
+
+  // JSON forbids raw control characters inside strings.
+  EXPECT_EQ(std::count_if(text.begin(), text.end(),
+                          [](char c) {
+                            return c != '\n' &&
+                                   static_cast<unsigned char>(c) < 0x20;
+                          }),
+            0);
+  const serve::JsonValue doc = serve::parse_json(text);
+  const serve::JsonValue& row = doc.find("counters")->array.at(0);
+  EXPECT_EQ(row.find("counter")->str, counter.counter);
+  EXPECT_TRUE(row.find("r2")->is_null());
+  EXPECT_TRUE(row.find("cv_rmse")->is_null());
+  EXPECT_EQ(row.find("chain")->array.size(), 2u);
 }
 
 }  // namespace

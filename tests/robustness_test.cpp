@@ -37,8 +37,7 @@ class TempDir : public ::testing::Test {
 //
 // Corruption never aborts an analysis: the damaged entry is quarantined
 // (renamed to .quarantined) and load() reports it absent, so
-// get_or_collect() recollects. Strict mode (quarantine_on_corrupt=false)
-// restores throw-on-corrupt for callers that want the loud failure.
+// get_or_collect() recollects.
 
 using RepositoryRobustness = TempDir;
 
@@ -127,16 +126,6 @@ TEST_F(RepositoryRobustness, BadChecksumQuarantinedAndRecollected) {
   f.put('7');
   f.close();
   expect_quarantine_and_recollect(repo, entry);
-}
-
-TEST_F(RepositoryRobustness, StrictModeStillThrowsOnCorruption) {
-  profiling::RepositoryOptions strict;
-  strict.quarantine_on_corrupt = false;
-  const profiling::RunRepository repo(dir_.string(), strict);
-  const auto entry = dir_ / "needle__gtx580.csv";
-  plant(entry, "size,time_ms\n1024,not_a_number\n");
-  EXPECT_THROW(repo.load("needle", "gtx580"), Error);
-  EXPECT_TRUE(std::filesystem::exists(entry));  // nothing moved
 }
 
 TEST_F(RepositoryRobustness, QuarantinedEntriesExcludedFromKeys) {

@@ -83,7 +83,7 @@ printf '%s\n' \
   '{"model":"reduce1","size":65536,"id":"b1"}' \
   '{"model":"second","size":65536,"id":"b2"}' \
   '{"model":"reduce1","size":131072,"id":"b3"}' \
-  | "$BF_SERVE" --model-dir "$WORK" --cache 4 --threads 4 --batch \
+  | "$BF_SERVE" --model-dir "$WORK" --cache 4 --batch \
   > "$WORK/batch_replies" || fail "batch mode exited non-zero"
 [ "$(wc -l < "$WORK/batch_replies")" -eq 3 ] || fail "batch reply count"
 grep -c '"ok":true' "$WORK/batch_replies" | grep -qx 3 \

@@ -468,6 +468,42 @@ TEST_F(ServeTest, ExportedBundleCarriesGoldenProbes) {
   EXPECT_TRUE(serve::validate_canary(file.bundle, 1e-9, &why)) << why;
 }
 
+TEST_F(ServeTest, ExportWithoutProbesThrowsAndWritesNothing) {
+  const std::string path = bundle_path("a");
+  EXPECT_THROW(serve::export_model(path, "a", "reduce1", "gtx580", 12,
+                                   trained_predictor(), 0),
+               Error);
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST_F(ServeTest, ProbelessBundleIsQuarantinedAndUnavailable) {
+  // A bundle whose probe record is empty has no canary to pass: the
+  // reader rejects it like any malformed bundle.
+  export_named("bare");
+  const std::string path = bundle_path("bare");
+  serve::ModelBundle bare = serve::load_bundle(path);
+  bare.meta.probes.clear();
+
+  serve::save_bundle(path, bare);
+  serve::ModelRegistry registry(dir_.string(), 2);
+  EXPECT_THROW(registry.get("bare"), Error);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_TRUE(std::filesystem::exists(path + ".quarantined"));
+
+  serve::save_bundle(path, bare);
+  serve::ServerOptions options;
+  options.model_dir = dir_.string();
+  serve::Server server(options);
+  const auto reply =
+      serve::parse_json(server.handle_line(R"({"model":"bare","size":65536})"));
+  EXPECT_FALSE(reply.find("ok")->boolean);
+  EXPECT_EQ(reply.find("code")->str, "model_unavailable");
+  EXPECT_NE(reply.find("error")->str.find("no golden probes"),
+            std::string::npos)
+      << reply.find("error")->str;
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
 TEST_F(ServeTest, ReloadPromotesNewGeneration) {
   export_named("a");
   serve::ModelRegistry registry(dir_.string(), 2);
@@ -770,7 +806,6 @@ TEST_F(ServeTest, ServerBatchCoversHitMissErrorAndStats) {
   serve::ServerOptions options;
   options.model_dir = dir_.string();
   options.cache_capacity = 2;
-  options.threads = 4;
   serve::Server server(options);
 
   const auto replies = server.handle_batch({
@@ -1031,7 +1066,6 @@ TEST_F(ServeTest, IdenticalRowsInABatchAreComputedOnce) {
   export_named("reduce1");
   serve::ServerOptions options;
   options.model_dir = dir_.string();
-  options.threads = 4;
   serve::Server server(options);
 
   const auto replies = server.handle_batch({
@@ -1079,8 +1113,8 @@ TEST(ServeJson, ParsesEscapesAndRejectsGarbage) {
 }
 
 TEST(ServeJson, EscapeAndNumberRoundTrip) {
-  EXPECT_EQ(serve::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  EXPECT_EQ(serve::json_escape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
   EXPECT_EQ(serve::json_number(0.5), "0.5");
   const double v = 0.024005629469124646;
   EXPECT_EQ(serve::parse_json(serve::json_number(v)).number, v);

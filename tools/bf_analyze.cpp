@@ -70,11 +70,9 @@ void usage() {
       "                    --repo, every stored sweep) and reports rule\n"
       "                    violations; exits non-zero on any\n"
       "  --export-model P  train the problem-scaling predictor and write\n"
-      "                    it as a .bfmodel bundle to P (serve it later\n"
-      "                    with bf_serve or --from-model)\n"
-      "  --probes N        golden canary probes recorded into the bundle\n"
-      "                    for hot-reload validation (default 5; 0 omits\n"
-      "                    the record)\n"
+      "                    it as a .bfmodel bundle to P, with 5 golden\n"
+      "                    canary probes (serve it later with bf_serve\n"
+      "                    or --from-model)\n"
       "  --from-model P    skip sweeping/training: load the bundle at P\n"
       "                    and answer --predict queries from it\n"
       "  --list            list workloads and architectures\n"
@@ -101,7 +99,6 @@ struct Args {
   bool power = false;
   std::string power_json;
   std::string export_model;
-  int probes = 5;
   std::string from_model;
   bool list = false;
   bool check = false;
@@ -158,9 +155,6 @@ Args parse(int argc, char** argv) {
       args.repo = next();
     } else if (a == "--export-model") {
       args.export_model = next();
-    } else if (a == "--probes") {
-      args.probes = static_cast<int>(parse_int(next()));
-      BF_CHECK_MSG(args.probes >= 0, "--probes must be >= 0");
     } else if (a == "--from-model") {
       args.from_model = next();
     } else if (a == "--list") {
@@ -368,7 +362,7 @@ int main(int argc, char** argv) {
     std::printf("analysing %s on %s (%zu runs, sizes %g..%g)\n\n",
                 args.workload.c_str(), args.arch.c_str(),
                 config.sizes.size(), lo, hi);
-    auto outcome = core::run_analysis(config);
+    const auto outcome = core::run_analysis(config);
 
     if (!outcome.warnings.empty()) {
       std::printf("%s\n",
@@ -396,12 +390,12 @@ int main(int argc, char** argv) {
       // bottlenecks read next to the time bottlenecks above.
       bf::power::EnergyAnalysisOptions eopts;
       eopts.model.forest.n_trees = static_cast<std::size_t>(args.trees);
-      outcome.energy_report = bf::power::analyze_energy_bottlenecks(
-          outcome.data, args.workload, args.arch, eopts);
-      outcome.power_enabled = true;
+      const core::BottleneckReport energy_report =
+          bf::power::analyze_energy_bottlenecks(outcome.data, args.workload,
+                                                args.arch, eopts);
       std::printf("energy bottlenecks (response %s):\n%s\n",
                   profiling::kPowerColumn,
-                  core::to_text(outcome.energy_report).c_str());
+                  core::to_text(energy_report).c_str());
     }
 
     if (!args.predict.empty() || !args.export_model.empty()) {
@@ -422,8 +416,7 @@ int main(int argc, char** argv) {
       }
       if (!args.export_model.empty()) {
         serve::export_model(args.export_model, args.workload, args.workload,
-                            args.arch, outcome.data.num_rows(), predictor,
-                            static_cast<std::size_t>(args.probes),
+                            args.arch, outcome.data.num_rows(), predictor, 5,
                             ppred.has_value() ? &*ppred : nullptr);
         std::printf("model bundle written to %s%s\n",
                     args.export_model.c_str(),

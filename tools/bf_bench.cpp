@@ -394,16 +394,18 @@ int main(int argc, char** argv) {
     std::ostringstream os;
     os.precision(10);
     os << "{\"bench\":\"predict\",\"schema_version\":1,\"workload\":\""
-       << args.workload << "\",\"arch\":\"" << args.arch
+       << json_escape(args.workload) << "\",\"arch\":\""
+       << json_escape(args.arch)
        << "\",\"trees\":" << forest.n_trees()
        << ",\"flat_nodes\":" << flat.node_count()
        << ",\"predictors\":" << p << ",\"train_rows\":" << src_rows
        << ",\"probe_rows\":" << args.rows << ",\"reps\":" << args.reps
-       << ",\"bit_identical\":true,\"best_engine\":\"" << best_name
+       << ",\"bit_identical\":true,\"best_engine\":\""
+       << json_escape(best_name)
        << "\",\"best_speedup\":" << best_speedup << ",\"engines\":[";
     for (std::size_t i = 0; i < results.size(); ++i) {
       const auto& r = results[i];
-      os << (i ? "," : "") << "{\"name\":\"" << r.name
+      os << (i ? "," : "") << "{\"name\":\"" << json_escape(r.name)
          << "\",\"rows_per_sec\":" << r.rows_per_sec
          << ",\"p50_ns\":" << r.p50_ns << ",\"p99_ns\":" << r.p99_ns
          << ",\"mean_ns\":" << r.mean_ns << ",\"speedup\":" << r.speedup

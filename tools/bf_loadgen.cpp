@@ -359,8 +359,9 @@ int main(int argc, char** argv) {
       for (std::size_t k = 0; k < args.requests; ++k) {
         const double size = std::floor(std::exp(rng.uniform(lo, hi)));
         std::ostringstream os;
-        os << "{\"cmd\":\"predict\",\"model\":\"" << models[k % models.size()]
-           << "\",\"size\":" << size << ",\"id\":" << k << '}';
+        os << "{\"cmd\":\"predict\",\"model\":\""
+           << json_escape(models[k % models.size()]) << "\",\"size\":" << size
+           << ",\"id\":" << k << '}';
         trace.push_back(os.str());
       }
     }
@@ -519,9 +520,9 @@ int main(int argc, char** argv) {
 
     std::ostringstream os;
     os << "{\"bench\":\"serve\",\"schema_version\":1,\"target\":\""
-       << (!args.socket_path.empty()
-               ? args.socket_path
-               : args.tcp_host + ":" + std::to_string(args.tcp_port))
+       << json_escape(!args.socket_path.empty()
+                          ? args.socket_path
+                          : args.tcp_host + ":" + std::to_string(args.tcp_port))
        << "\",\"conns\":" << args.conns << ",\"qps_target\":" << args.qps
        << ",\"requests\":" << total << ",\"ok\":" << ok
        << ",\"shed\":" << shed << ",\"errors\":" << errors

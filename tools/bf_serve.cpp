@@ -3,7 +3,8 @@
 // Answers newline-delimited JSON prediction requests from trained
 // .bfmodel bundles (written by `bf_analyze --export-model`). Bundles
 // are cached in an LRU registry with single-flight loading; batches are
-// grouped per model, deduplicated, and fanned across a thread pool.
+// grouped per model, deduplicated, and fanned across the process-wide
+// thread pool.
 //
 //   bf_analyze --workload reduce1 --runs 12 --export-model m/reduce1.bfmodel
 //   printf '%s\n' '{"model":"reduce1","size":65536,"id":1}' |
@@ -48,12 +49,10 @@ void usage() {
       "usage: bf_serve [options]\n"
       "  --model-dir DIR   directory of <name>.bfmodel bundles (default .)\n"
       "  --cache N         max resident bundles, LRU beyond (default 8)\n"
-      "  --threads N       worker threads (default: shared global pool)\n"
       "  --socket PATH     listen on a Unix socket; pipelined NDJSON\n"
       "                    requests are answered line-by-line, in order\n"
       "  --tcp [HOST:]PORT listen on TCP too (or instead); port 0 binds\n"
       "                    an ephemeral port and prints it on stderr\n"
-      "  --backlog N       listen(2) backlog (default 64)\n"
       "  --max-conns N     open-connection cap; beyond it a connection\n"
       "                    gets one \"shed\" reply and is closed\n"
       "                    (default 256)\n"
@@ -72,10 +71,9 @@ void usage() {
       "                    0 disables the watcher)\n"
       "  --no-reload       disable hot reload entirely: no watcher and\n"
       "                    the reload/pin/unpin admin verbs are refused\n"
-      "  --once            exit after the first socket connection closes\n"
       "  --batch           read all of stdin before answering, grouping\n"
       "                    requests per model and fanning across the\n"
-      "                    thread pool (default: one reply per line,\n"
+      "                    shared thread pool (default: one reply per line,\n"
       "                    streamed as requests arrive)\n"
       "  --faults SPEC     arm fault injection (also BF_FAULTS in env)\n"
       "  --fault-seed N    deterministic fault stream seed\n"
@@ -111,8 +109,6 @@ Args parse(int argc, char** argv) {
       args.server.model_dir = next();
     } else if (a == "--cache") {
       args.server.cache_capacity = static_cast<std::size_t>(parse_int(next()));
-    } else if (a == "--threads") {
-      args.server.threads = static_cast<std::size_t>(parse_int(next()));
     } else if (a == "--socket") {
       args.net.unix_path = next();
       args.use_net = true;
@@ -128,8 +124,6 @@ Args parse(int argc, char** argv) {
       BF_CHECK_MSG(args.net.tcp_port >= 0 && args.net.tcp_port <= 65535,
                    "--tcp port out of range: " << spec);
       args.use_net = true;
-    } else if (a == "--backlog") {
-      args.net.backlog = static_cast<int>(parse_int(next()));
     } else if (a == "--max-conns") {
       args.net.max_conns = static_cast<std::size_t>(parse_int(next()));
     } else if (a == "--max-queue") {
@@ -145,8 +139,6 @@ Args parse(int argc, char** argv) {
           static_cast<std::uint64_t>(parse_int(next()));
     } else if (a == "--no-reload") {
       args.server.allow_reload = false;
-    } else if (a == "--once") {
-      args.net.once = true;
     } else if (a == "--batch") {
       args.batch = true;
     } else if (a == "--faults") {
