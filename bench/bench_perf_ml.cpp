@@ -3,6 +3,8 @@
 // BlackForest dataset shapes (tens-to-hundreds of rows, ~30 counters).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "common/rng.hpp"
 #include "ml/flat_forest.hpp"
 #include "ml/linear_model.hpp"
@@ -108,6 +110,50 @@ void BM_MarsFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MarsFit)->Arg(50)->Arg(130)->Unit(benchmark::kMillisecond);
+
+/// The counter chain's shape: one input, log2(size + 1), over log2-spaced
+/// sizes from 64 to 8192 (19 of them, as in a needle sweep, or 25). With
+/// `fold` set, one 5-fold CV training fold of the 19 (15 rows). The
+/// response is either a saturating ratio counter (occupancy- or hit-rate-
+/// like, modelled as is) or a power-law count with a knee at 1024, in the
+/// log2 space the chain models such wide-range counters in.
+Problem make_counter_problem(std::size_t sizes, bool fold, bool power_law) {
+  Rng rng(4321);
+  Problem prob{linalg::Matrix(fold ? sizes - (sizes + 4) / 5 : sizes, 1),
+               {}, {"size"}};
+  std::size_t row = 0;
+  for (std::size_t k = 0; k < sizes; ++k) {
+    const double t = static_cast<double>(k) / static_cast<double>(sizes - 1);
+    const double size = 16.0 * std::round(std::exp2(6.0 + 7.0 * t) / 16.0);
+    const double noise = rng.normal(0.0, 0.02);
+    if (fold && k % 5 == 0) continue;
+    prob.x(row++, 0) = std::log2(size + 1.0);
+    prob.y.push_back(
+        power_law ? std::log2(3.0 * std::pow(size, size < 1024 ? 1.5 : 2.2) *
+                              (1.0 + noise))
+                  : 0.9 * size / (size + 512.0) +
+                        0.1 * std::sin(std::log2(size)) + noise);
+  }
+  return prob;
+}
+
+void BM_MarsCounterFit(benchmark::State& state) {
+  const auto prob =
+      make_counter_problem(static_cast<std::size_t>(state.range(0)),
+                           state.range(1) != 0, state.range(2) != 0);
+  for (auto _ : state) {
+    ml::Mars mars;
+    mars.fit(prob.x, prob.y);
+    benchmark::DoNotOptimize(mars.r_squared());
+  }
+}
+// {sizes, 15-row fold, power law}: a needle sweep's 19 rows, one CV fold
+// of them, and a power-law counter over 25 sizes.
+BENCHMARK(BM_MarsCounterFit)
+    ->Args({19, 0, 0})
+    ->Args({19, 1, 0})
+    ->Args({25, 0, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_GlmFit(benchmark::State& state) {
   const auto prob = make_problem(130, 4);

@@ -34,32 +34,30 @@ double gcv_of(double rss, std::size_t n, std::size_t n_terms,
 
 }  // namespace
 
-double Mars::eval_term(const Term& term, const double* row) const {
-  double v = 1.0;
-  for (const Hinge& h : term.hinges) {
-    const double x = row[h.var];
-    if (h.direction > 0) {
-      v *= std::max(x - h.knot, 0.0);
-    } else if (h.direction < 0) {
-      v *= std::max(h.knot - x, 0.0);
-    } else {
-      v *= x;
-    }
-    if (v == 0.0) return 0.0;
+namespace {
+
+/// One hinge factor of a term's product; eval_term multiplies them in
+/// order and stops at the first zero, which it returns as +0.
+double times_hinge(double v, double knot, int direction, double x) {
+  if (direction > 0) {
+    v *= std::max(x - knot, 0.0);
+  } else if (direction < 0) {
+    v *= std::max(knot - x, 0.0);
+  } else {
+    v *= x;
   }
   return v;
 }
 
-linalg::Matrix Mars::build_design(const linalg::Matrix& x,
-                                  const std::vector<Term>& terms) const {
-  linalg::Matrix d(x.rows(), terms.size());
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    const double* row = x.row_ptr(i);
-    for (std::size_t t = 0; t < terms.size(); ++t) {
-      d(i, t) = eval_term(terms[t], row);
-    }
+}  // namespace
+
+double Mars::eval_term(const Term& term, const double* row) const {
+  double v = 1.0;
+  for (const Hinge& h : term.hinges) {
+    v = times_hinge(v, h.knot, h.direction, row[h.var]);
+    if (v == 0.0) return 0.0;
   }
-  return d;
+  return v;
 }
 
 void Mars::fit(const linalg::Matrix& x, const std::vector<double>& y,
@@ -76,6 +74,7 @@ void Mars::fit(const linalg::Matrix& x, const std::vector<double>& y,
   // Candidate knots per variable: distinct quantiles of observed values,
   // excluding the extremes (a hinge at the max/min is degenerate).
   std::vector<std::vector<double>> knots(p);
+  std::size_t total_knots = 0;
   for (std::size_t j = 0; j < p; ++j) {
     std::vector<double> vals = x.column_vec(j);
     std::sort(vals.begin(), vals.end());
@@ -90,6 +89,7 @@ void Mars::fit(const linalg::Matrix& x, const std::vector<double>& y,
     }
     knots[j].erase(std::unique(knots[j].begin(), knots[j].end()),
                    knots[j].end());
+    total_knots += knots[j].size();
   }
 
   // ---- Forward pass ----
@@ -110,15 +110,42 @@ void Mars::fit(const linalg::Matrix& x, const std::vector<double>& y,
     return;
   }
 
-  linalg::Matrix design = build_design(x, terms);
+  // Every term's column over the training rows, computed once when the
+  // term enters: term t's column is cols[t * n]. Each forward round scores
+  // all its candidate pairs with one extension query and each pruning
+  // step all its deletions with one deletion query on the same engine, so
+  // the scratch below is sized once per fit.
+  const std::size_t capacity = std::max<std::size_t>(params.max_terms, 1);
+  std::vector<double> cols(n * capacity);
+  std::fill_n(cols.begin(), n, 1.0);
+  const auto column = [&](std::size_t t) { return cols.data() + t * n; };
+  // term(parent + hinge) from the parent's column, as eval_term computes it.
+  const auto extend = [&](std::size_t parent, const Hinge& h, double* out) {
+    const double* pc = column(parent);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double v =
+          pc[i] == 0.0 ? 0.0
+                       : times_hinge(pc[i], h.knot, h.direction, x(i, h.var));
+      out[i] = v == 0.0 ? 0.0 : v;
+    }
+  };
+  struct Candidate {
+    std::size_t parent = 0;
+    Hinge hinge;  ///< the +1 side of the reflected pair
+  };
+  const std::size_t max_candidates =
+      (capacity >= 2 ? capacity - 2 : 0) * total_knots;
+  std::vector<Candidate> candidates;
+  candidates.reserve(max_candidates);
+  std::vector<double> pairs(2 * n * max_candidates);
+  std::vector<double> rss(std::max(max_candidates, capacity));
+  std::vector<const double*> design;
+  design.reserve(capacity);
+  linalg::PivotedQr qr;
+
   double best_rss = y_ss;
-
   while (terms.size() + 2 <= params.max_terms) {
-    double round_best_rss = best_rss;
-    std::size_t best_parent = 0;
-    Hinge best_hinge;
-    bool found = false;
-
+    candidates.clear();
     for (std::size_t parent = 0; parent < terms.size(); ++parent) {
       const int parent_degree = static_cast<int>(terms[parent].hinges.size());
       if (parent_degree >= params.max_degree) continue;
@@ -132,90 +159,85 @@ void Mars::fit(const linalg::Matrix& x, const std::vector<double>& y,
 
         for (double knot : knots[j]) {
           // Candidate design = current + reflected pair.
-          std::vector<Term> cand = terms;
-          Term pos = terms[parent];
-          pos.hinges.push_back(Hinge{j, knot, +1});
-          Term neg = terms[parent];
-          neg.hinges.push_back(Hinge{j, knot, -1});
-          cand.push_back(pos);
-          cand.push_back(neg);
-
-          const linalg::Matrix cd = build_design(x, cand);
-          const auto sol = linalg::qr_least_squares(cd, y);
-          const double rss = sol.residual_norm * sol.residual_norm;
-          if (rss < round_best_rss - 1e-12) {
-            round_best_rss = rss;
-            best_parent = parent;
-            best_hinge = Hinge{j, knot, +1};
-            found = true;
-          }
+          double* pair = pairs.data() + 2 * n * candidates.size();
+          extend(parent, Hinge{j, knot, +1}, pair);
+          extend(parent, Hinge{j, knot, -1}, pair + n);
+          candidates.push_back({parent, Hinge{j, knot, +1}});
         }
       }
     }
+    if (candidates.empty()) break;
 
-    if (!found) break;
+    design.clear();
+    for (std::size_t t = 0; t < terms.size(); ++t) design.push_back(column(t));
+    qr.extension_rss(design, y, {pairs.data(), 2 * n * candidates.size()},
+                     {rss.data(), candidates.size()});
+    double round_best_rss = best_rss;
+    const Candidate* best = nullptr;
+    for (std::size_t c = 0; c < candidates.size(); ++c) {
+      if (rss[c] < round_best_rss - 1e-12) {
+        round_best_rss = rss[c];
+        best = &candidates[c];
+      }
+    }
+
+    if (best == nullptr) break;
     if ((best_rss - round_best_rss) < kMinRssImprovement * y_ss) {
       break;
     }
-    Term pos = terms[best_parent];
-    pos.hinges.push_back(best_hinge);
-    Term neg = terms[best_parent];
-    best_hinge.direction = -1;
-    neg.hinges.push_back(best_hinge);
-    terms.push_back(pos);
-    terms.push_back(neg);
+    for (const int direction : {+1, -1}) {
+      Term term = terms[best->parent];
+      term.hinges.push_back(Hinge{best->hinge.var, best->hinge.knot, direction});
+      extend(best->parent, term.hinges.back(), column(terms.size()));
+      terms.push_back(std::move(term));
+    }
     best_rss = round_best_rss;
   }
 
   // ---- Backward pruning by GCV ----
   // Iteratively delete the term whose removal best improves GCV, keeping
-  // the best subset seen (the intercept never leaves).
-  std::vector<Term> current = terms;
-  auto fit_subset = [&](const std::vector<Term>& subset)
-      -> std::pair<std::vector<double>, double> {
-    const linalg::Matrix d = build_design(x, subset);
-    const auto sol = linalg::qr_least_squares(d, y);
-    return {sol.coefficients, sol.residual_norm * sol.residual_norm};
-  };
+  // the best subset seen (the intercept never leaves). `current` holds
+  // forward-term indices; each round's deletion query also returns the
+  // RSS of `current` itself, which is the RSS the previous round scored
+  // for the deletion that produced it.
+  std::vector<std::size_t> current(terms.size());
+  for (std::size_t t = 0; t < current.size(); ++t) current[t] = t;
+  std::vector<std::size_t> best_terms;
+  double best_gcv = 0.0;
+  double best_terms_rss = 0.0;
+  for (bool first = true;; first = false) {
+    design.clear();
+    for (const std::size_t t : current) design.push_back(column(t));
+    const double cur_rss =
+        qr.deletion_rss(design, y, 1, {rss.data(), current.size() - 1});
+    const double g = gcv_of(cur_rss, n, current.size(), penalty);
+    if (first || g < best_gcv) {
+      best_gcv = g;
+      best_terms = current;
+      best_terms_rss = cur_rss;
+    }
+    if (current.size() == 1) break;
 
-  auto [cur_coef, cur_rss] = fit_subset(current);
-  std::vector<Term> best_terms = current;
-  std::vector<double> best_coef = cur_coef;
-  double best_gcv = gcv_of(cur_rss, n, current.size(), penalty);
-  double best_terms_rss = cur_rss;
-
-  while (current.size() > 1) {
     double round_gcv = std::numeric_limits<double>::infinity();
     std::size_t drop = 0;
-    std::vector<double> round_coef;
-    double round_rss = 0.0;
     for (std::size_t t = 1; t < current.size(); ++t) {  // keep intercept
-      std::vector<Term> subset;
-      subset.reserve(current.size() - 1);
-      for (std::size_t u = 0; u < current.size(); ++u) {
-        if (u != t) subset.push_back(current[u]);
-      }
-      const auto [c, rss] = fit_subset(subset);
-      const double g = gcv_of(rss, n, subset.size(), penalty);
-      if (g < round_gcv) {
-        round_gcv = g;
+      const double gt = gcv_of(rss[t - 1], n, current.size() - 1, penalty);
+      if (gt < round_gcv) {
+        round_gcv = gt;
         drop = t;
-        round_coef = c;
-        round_rss = rss;
       }
     }
     if (!std::isfinite(round_gcv)) break;
     current.erase(current.begin() + static_cast<std::ptrdiff_t>(drop));
-    if (round_gcv < best_gcv) {
-      best_gcv = round_gcv;
-      best_terms = current;
-      best_coef = round_coef;
-      best_terms_rss = round_rss;
-    }
   }
 
-  terms_ = std::move(best_terms);
-  coef_ = std::move(best_coef);
+  design.clear();
+  terms_.clear();
+  for (const std::size_t t : best_terms) {
+    design.push_back(column(t));
+    terms_.push_back(terms[t]);
+  }
+  coef_ = qr.solve(design, y).coefficients;
   gcv_ = best_gcv;
   r_squared_ = 1.0 - best_terms_rss / y_ss;
 }

@@ -63,8 +63,6 @@ class Mars {
   };
 
   double eval_term(const Term& term, const double* row) const;
-  linalg::Matrix build_design(const linalg::Matrix& x,
-                              const std::vector<Term>& terms) const;
 
   std::size_t num_inputs_ = 0;
   std::vector<Term> terms_;
