@@ -22,26 +22,24 @@ double safe_exp(double v) { return std::exp(std::clamp(v, -60.0, 60.0)); }
 constexpr int kMaxIrlsIter = 50;
 constexpr double kIrlsTol = 1e-9;
 
-}  // namespace
-
-std::vector<double> Glm::expand_basis(const double* row,
-                                      std::size_t num_inputs) const {
-  std::vector<double> out;
-  out.reserve(1 + num_inputs * (static_cast<std::size_t>(params_.degree) +
-                                (params_.log_terms ? 1 : 0)));
-  out.push_back(1.0);  // intercept
+/// Calls f(value) for each basis column of one input row, in design-matrix
+/// order: the intercept, then per input its powers 1..degree and its
+/// log2 term.
+template <class F>
+void for_each_basis(const GlmParams& params, const double* row,
+                    std::size_t num_inputs, F&& f) {
+  f(1.0);  // intercept
   for (std::size_t j = 0; j < num_inputs; ++j) {
     double pow_term = 1.0;
-    for (int d = 1; d <= params_.degree; ++d) {
+    for (int d = 1; d <= params.degree; ++d) {
       pow_term *= row[j];
-      out.push_back(pow_term);
+      f(pow_term);
     }
-    if (params_.log_terms) {
-      out.push_back(std::log2(std::max(0.0, row[j]) + 1.0));
-    }
+    if (params.log_terms) f(std::log2(std::max(0.0, row[j]) + 1.0));
   }
-  return out;
 }
+
+}  // namespace
 
 void Glm::fit(const linalg::Matrix& x, const std::vector<double>& y,
               const GlmParams& params) {
@@ -53,12 +51,14 @@ void Glm::fit(const linalg::Matrix& x, const std::vector<double>& y,
 
   const std::size_t n = x.rows();
   // Build the design matrix once.
-  const std::vector<double> probe = expand_basis(x.row_ptr(0), num_inputs_);
-  const std::size_t pb = probe.size();
+  const std::size_t pb =
+      1 + num_inputs_ * (static_cast<std::size_t>(params_.degree) +
+                         (params_.log_terms ? 1 : 0));
   linalg::Matrix design(n, pb);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto basis = expand_basis(x.row_ptr(i), num_inputs_);
-    for (std::size_t j = 0; j < pb; ++j) design(i, j) = basis[j];
+    std::size_t j = 0;
+    for_each_basis(params_, x.row_ptr(i), num_inputs_,
+                   [&](double v) { design(i, j++) = v; });
   }
 
   if (params_.link == LinkFunction::kIdentity) {
@@ -121,11 +121,11 @@ void Glm::fit(const linalg::Matrix& x, const std::vector<double>& y,
 double Glm::predict_row(const double* row, std::size_t num_inputs) const {
   BF_CHECK_MSG(fitted(), "predict on unfitted GLM");
   BF_CHECK_MSG(num_inputs == num_inputs_, "input arity mismatch");
-  const auto basis = expand_basis(row, num_inputs);
+  // Term by term, in design order: the query path allocates nothing.
   double eta = 0.0;
-  for (std::size_t j = 0; j < basis.size(); ++j) {
-    eta += basis[j] * coef_[j];
-  }
+  std::size_t j = 0;
+  for_each_basis(params_, row, num_inputs,
+                 [&](double b) { eta += b * coef_[j++]; });
   return params_.link == LinkFunction::kLog ? safe_exp(eta) : eta;
 }
 

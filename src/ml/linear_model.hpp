@@ -57,9 +57,6 @@ class Glm {
   static Glm load(std::istream& is);
 
  private:
-  std::vector<double> expand_basis(const double* row,
-                                   std::size_t num_inputs) const;
-
   GlmParams params_;
   std::size_t num_inputs_ = 0;
   std::vector<double> coef_;
