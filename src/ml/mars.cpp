@@ -129,12 +129,25 @@ void Mars::fit(const linalg::Matrix& x, const std::vector<double>& y,
       out[i] = v == 0.0 ? 0.0 : v;
     }
   };
+  // A candidate reflected pair: max(x_var - knot, 0) and max(knot - x_var,
+  // 0) times the parent term.
   struct Candidate {
     std::size_t parent = 0;
-    Hinge hinge;  ///< the +1 side of the reflected pair
+    std::size_t var = 0;
+    double knot = 0.0;
   };
+  // A round's candidates: every knot under the intercept, plus, for each
+  // of at most max_terms - 3 other terms that may still take a hinge,
+  // the knots of the variables it does not use.
+  std::size_t other_vars_knots = 0;
+  for (const auto& k : knots) {
+    other_vars_knots = std::max(other_vars_knots, total_knots - k.size());
+  }
+  const std::size_t other_parents =
+      params.max_degree > 1 && params.max_terms > 3 ? params.max_terms - 3 : 0;
   const std::size_t max_candidates =
-      (capacity >= 2 ? capacity - 2 : 0) * total_knots;
+      params.max_terms >= 3 ? total_knots + other_parents * other_vars_knots
+                            : 0;
   std::vector<Candidate> candidates;
   candidates.reserve(max_candidates);
   std::vector<double> pairs(2 * n * max_candidates);
@@ -159,10 +172,12 @@ void Mars::fit(const linalg::Matrix& x, const std::vector<double>& y,
 
         for (double knot : knots[j]) {
           // Candidate design = current + reflected pair.
+          BF_CHECK_MSG(candidates.size() < max_candidates,
+                       "MARS candidate bound exceeded");
           double* pair = pairs.data() + 2 * n * candidates.size();
           extend(parent, Hinge{j, knot, +1}, pair);
           extend(parent, Hinge{j, knot, -1}, pair + n);
-          candidates.push_back({parent, Hinge{j, knot, +1}});
+          candidates.push_back({parent, j, knot});
         }
       }
     }
@@ -187,7 +202,7 @@ void Mars::fit(const linalg::Matrix& x, const std::vector<double>& y,
     }
     for (const int direction : {+1, -1}) {
       Term term = terms[best->parent];
-      term.hinges.push_back(Hinge{best->hinge.var, best->hinge.knot, direction});
+      term.hinges.push_back(Hinge{best->var, best->knot, direction});
       extend(best->parent, term.hinges.back(), column(terms.size()));
       terms.push_back(std::move(term));
     }

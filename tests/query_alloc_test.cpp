@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
+#include <new>  // bf-lint: allow(raw-new)
 #include <string>
 #include <vector>
 
@@ -26,24 +27,36 @@ namespace {
 thread_local bool t_armed = false;
 std::atomic<std::size_t> g_allocations{0};
 
+void* acquire(std::size_t n) noexcept {
+  if (t_armed) g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+
 // Out of line, so the compiler cannot pair the free() with a
 // new-expression at an inlined call site and warn about a mismatch.
 [[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
 
 }  // namespace
 
-// The replaceable allocation functions, counted; the array forms forward
-// to these.
+// The replaceable allocation functions, counted. The nothrow forms are
+// replaced too: a sanitizer runtime would otherwise supply them, and
+// their memory comes back through the plain delete below. The array
+// forms forward to these.
 void* operator new(std::size_t n) {  // bf-lint: allow(raw-new)
-  if (t_armed) g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) std::abort();
+  void* p = acquire(n);
+  if (p == nullptr) throw std::bad_alloc();
   return p;
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {  // bf-lint: allow(raw-new)
+  return acquire(n);
 }
 void operator delete(void* p) noexcept {  // bf-lint: allow(raw-delete)
   release(p);
 }
 void operator delete(void* p, std::size_t) noexcept {  // bf-lint: allow(raw-delete)
+  release(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {  // bf-lint: allow(raw-delete)
   release(p);
 }
 
