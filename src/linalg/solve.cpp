@@ -48,8 +48,8 @@ std::vector<double> cholesky_solve(const Matrix& a,
 namespace detail {
 
 /// One factorization in flight. Pivoting swaps the column pointers, so a
-/// column keeps its storage; rows below step k and the reflected rhs are
-/// what the remaining steps and the residual read.
+/// column keeps its storage. The remaining steps and the residual read
+/// only rows k.. of the columns at positions k.. and of the rhs.
 struct QrState {
   std::size_t m = 0;
   std::size_t n = 0;       ///< columns
@@ -160,7 +160,6 @@ LeastSquaresResult qr_least_squares(const Matrix& a,
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   BF_CHECK_MSG(b.size() == m, "rhs size mismatch");
-  BF_CHECK_MSG(m >= 1 && n >= 1, "empty least-squares system");
   std::vector<double> cols(m * n);
   std::vector<const double*> col_ptr(n);
   for (std::size_t j = 0; j < n; ++j) {
@@ -176,7 +175,6 @@ QrState PivotedQr::load(std::span<const double* const> a,
   const std::size_t m = b.size();
   const std::size_t n = a.size();
   BF_CHECK_MSG(m >= 1 && n >= 1, "empty least-squares system");
-  m_ = m;
   base_.resize(m * n);
   base_col_.resize(n);
   norm2_.resize(n);
@@ -188,7 +186,6 @@ QrState PivotedQr::load(std::span<const double* const> a,
   }
   base_rhs_.assign(b.begin(), b.end());
   v_.resize(m);
-  work_v_.resize(m);
   double largest = norm2_[0];
   for (std::size_t j = 1; j < n; ++j) largest = fold_max(largest, norm2_[j]);
   return QrState{m, n, 0, rank_tolerance(largest), base_col_.data(),
@@ -214,8 +211,8 @@ LeastSquaresResult PivotedQr::solve(std::span<const double* const> a,
   LeastSquaresResult out;
   out.coefficients.assign(n, 0.0);
   for (std::size_t j = 0; j < n; ++j) {
-    const auto column = static_cast<std::size_t>(s.col[j] - base_.data()) / m_;
-    out.coefficients[column] = xp[j];
+    const auto column = static_cast<std::size_t>(s.col[j] - base_.data());
+    out.coefficients[column / s.m] = xp[j];
   }
   out.residual_norm = residual_norm(s);
   out.rank = rank;
@@ -240,7 +237,7 @@ double PivotedQr::branch(const QrState& base, const double* skip,
   }
   for (const double* c : extra) take(c);
   std::copy(base.rhs + k, base.rhs + m, work_rhs_.data() + k);
-  finish(s, work_v_.data());
+  finish(s, v_.data());
   return squared(residual_norm(s));
 }
 

@@ -80,7 +80,6 @@ class PivotedQr {
   double branch(const detail::QrState& base, const double* skip,
                 std::span<double* const> extra, double tol);
 
-  std::size_t m_ = 0;
   std::vector<double> base_;        ///< A, column-major
   std::vector<double*> base_col_;   ///< base columns by pivot position
   std::vector<double> base_rhs_;    ///< b, reflected step by step
@@ -88,8 +87,9 @@ class PivotedQr {
   std::vector<double> work_;        ///< a branched design's columns
   std::vector<double*> work_col_;
   std::vector<double> work_rhs_;
-  std::vector<double> v_;           ///< the base's current reflector
-  std::vector<double> work_v_;      ///< a branch's current reflector
+  /// The current step's reflector. A branch runs to completion between
+  /// the base's pivot search and its reflection, so they share it.
+  std::vector<double> v_;
   std::vector<double> tol_;         ///< each candidate's rank tolerance
   std::vector<std::size_t> live_;   ///< candidates still on the base's path
 };

@@ -168,6 +168,16 @@ Glm Glm::load(std::istream& is) {
   g.params_.link = link == 1 ? LinkFunction::kLog : LinkFunction::kIdentity;
   g.params_.log_terms = log_terms != 0;
   BF_CHECK_MSG(ncoef <= 1'000'000, "bf_glm: implausible coefficient count");
+  // predict_row reads one coefficient per basis term: a fitted record
+  // holds exactly that many.
+  BF_CHECK_MSG(g.params_.degree >= 1, "bf_glm: degree must be >= 1");
+  const auto per_input = static_cast<std::size_t>(g.params_.degree) +
+                         (g.params_.log_terms ? 1 : 0);
+  BF_CHECK_MSG(ncoef == 0 || ((ncoef - 1) % per_input == 0 &&
+                              (ncoef - 1) / per_input == g.num_inputs_),
+               "bf_glm: " << ncoef << " coefficients do not fit "
+                          << g.num_inputs_ << " inputs of degree "
+                          << g.params_.degree);
   g.coef_.resize(ncoef);
   for (double& c : g.coef_) {
     BF_CHECK_MSG(static_cast<bool>(is >> c), "bf_glm: truncated coefficients");

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -102,6 +103,18 @@ TEST(Glm, InputValidation) {
   glm.fit(column_matrix({1, 2, 3, 4}), {1, 2, 3, 4});
   const double row[2] = {1.0, 2.0};
   EXPECT_THROW(glm.predict_row(row, 2), Error);  // arity mismatch
+
+  // A record whose coefficients do not match its basis would make
+  // predict_row read past them: one input of degree 2 with log terms
+  // takes 4 coefficients (or none, unfitted).
+  for (const char* record : {"bf_glm 2\n0 2 1\n1 1 5 0 0\n",
+                             "bf_glm 2\n0 2 1\n1 5 1 2 3 4 5 0 0\n",
+                             "bf_glm 2\n0 0 1\n1 1 5 0 0\n"}) {
+    std::istringstream in(record);
+    EXPECT_THROW(Glm::load(in), Error) << record;
+  }
+  std::istringstream ok("bf_glm 2\n0 2 1\n1 4 1 2 3 4 0 0\n");
+  EXPECT_TRUE(Glm::load(ok).fitted());
 }
 
 // ---- MARS ----
