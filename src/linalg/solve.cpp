@@ -75,6 +75,16 @@ double sum_squares(const double* c, std::size_t k, std::size_t m) {
 /// is kept, later NaNs are skipped.
 double fold_max(double largest, double x) { return largest < x ? x : largest; }
 
+/// max_element over the column norms², column `skip` left out.
+double max_norm2(const std::vector<double>& norm2, std::size_t skip) {
+  const std::size_t first = skip == 0 ? 1 : 0;
+  double largest = norm2[first];
+  for (std::size_t j = first + 1; j < norm2.size(); ++j) {
+    if (j != skip) largest = fold_max(largest, norm2[j]);
+  }
+  return largest;
+}
+
 double rank_tolerance(double max_norm2) {
   return std::max(1e-10, 1e-12 * std::sqrt(max_norm2));
 }
@@ -186,10 +196,8 @@ QrState PivotedQr::load(std::span<const double* const> a,
   }
   base_rhs_.assign(b.begin(), b.end());
   v_.resize(m);
-  double largest = norm2_[0];
-  for (std::size_t j = 1; j < n; ++j) largest = fold_max(largest, norm2_[j]);
-  return QrState{m, n, 0, rank_tolerance(largest), base_col_.data(),
-                 base_rhs_.data()};
+  return QrState{m, n, 0, rank_tolerance(max_norm2(norm2_, n)),
+                 base_col_.data(), base_rhs_.data()};
 }
 
 LeastSquaresResult PivotedQr::solve(std::span<const double* const> a,
@@ -254,14 +262,13 @@ double PivotedQr::extension_rss(std::span<const double* const> a,
                                             << " candidate pairs of " << m);
   // A candidate's tolerance continues the base's column-norm maximum over
   // its own two columns, as max_element over the whole design would.
-  double largest = norm2_[0];
-  for (std::size_t j = 1; j < base.n; ++j) largest = fold_max(largest, norm2_[j]);
+  const double largest = max_norm2(norm2_, base.n);
   tol_.resize(count);
   live_.resize(count);
   for (std::size_t c = 0; c < count; ++c) {
     const double* pair = pairs.data() + 2 * c * m;
-    tol_[c] = rank_tolerance(fold_max(fold_max(largest, sum_squares(pair, 0, m)),
-                                      sum_squares(pair + m, 0, m)));
+    const double with_first = fold_max(largest, sum_squares(pair, 0, m));
+    tol_[c] = rank_tolerance(fold_max(with_first, sum_squares(pair + m, 0, m)));
     live_[c] = c;
   }
 
@@ -314,11 +321,7 @@ double PivotedQr::deletion_rss(std::span<const double* const> a,
   tol_.resize(rss.size());
   live_.resize(rss.size());
   for (std::size_t d = first; d < n; ++d) {
-    double largest = norm2_[d == 0 ? 1 : 0];
-    for (std::size_t j = (d == 0 ? 2 : 1); j < n; ++j) {
-      if (j != d) largest = fold_max(largest, norm2_[j]);
-    }
-    tol_[d - first] = rank_tolerance(largest);
+    tol_[d - first] = rank_tolerance(max_norm2(norm2_, d));
     live_[d - first] = d;
   }
 

@@ -22,6 +22,11 @@ double safe_exp(double v) { return std::exp(std::clamp(v, -60.0, 60.0)); }
 constexpr int kMaxIrlsIter = 50;
 constexpr double kIrlsTol = 1e-9;
 
+/// Basis columns per input: its powers 1..degree and its log2 term.
+std::size_t terms_per_input(const GlmParams& params) {
+  return static_cast<std::size_t>(params.degree) + (params.log_terms ? 1 : 0);
+}
+
 /// Calls f(value) for each basis column of one input row, in design-matrix
 /// order: the intercept, then per input its powers 1..degree and its
 /// log2 term.
@@ -51,9 +56,7 @@ void Glm::fit(const linalg::Matrix& x, const std::vector<double>& y,
 
   const std::size_t n = x.rows();
   // Build the design matrix once.
-  const std::size_t pb =
-      1 + num_inputs_ * (static_cast<std::size_t>(params_.degree) +
-                         (params_.log_terms ? 1 : 0));
+  const std::size_t pb = 1 + num_inputs_ * terms_per_input(params_);
   linalg::Matrix design(n, pb);
   for (std::size_t i = 0; i < n; ++i) {
     std::size_t j = 0;
@@ -171,8 +174,7 @@ Glm Glm::load(std::istream& is) {
   // predict_row reads one coefficient per basis term: a fitted record
   // holds exactly that many.
   BF_CHECK_MSG(g.params_.degree >= 1, "bf_glm: degree must be >= 1");
-  const auto per_input = static_cast<std::size_t>(g.params_.degree) +
-                         (g.params_.log_terms ? 1 : 0);
+  const std::size_t per_input = terms_per_input(g.params_);
   BF_CHECK_MSG(ncoef == 0 || ((ncoef - 1) % per_input == 0 &&
                               (ncoef - 1) / per_input == g.num_inputs_),
                "bf_glm: " << ncoef << " coefficients do not fit "

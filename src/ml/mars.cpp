@@ -32,10 +32,6 @@ double gcv_of(double rss, std::size_t n, std::size_t n_terms,
   return rss / nn / (denom * denom);
 }
 
-}  // namespace
-
-namespace {
-
 /// One hinge factor of a term's product; eval_term multiplies them in
 /// order and stops at the first zero, which it returns as +0.
 double times_hinge(double v, double knot, int direction, double x) {

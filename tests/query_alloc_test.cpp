@@ -47,16 +47,19 @@ void* operator new(std::size_t n) {  // bf-lint: allow(raw-new)
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {  // bf-lint: allow(raw-new)
+void* operator new(std::size_t n,  // bf-lint: allow(raw-new)
+                   const std::nothrow_t&) noexcept {
   return acquire(n);
 }
 void operator delete(void* p) noexcept {  // bf-lint: allow(raw-delete)
   release(p);
 }
-void operator delete(void* p, std::size_t) noexcept {  // bf-lint: allow(raw-delete)
+void operator delete(void* p,  // bf-lint: allow(raw-delete)
+                     std::size_t) noexcept {
   release(p);
 }
-void operator delete(void* p, const std::nothrow_t&) noexcept {  // bf-lint: allow(raw-delete)
+void operator delete(void* p,  // bf-lint: allow(raw-delete)
+                     const std::nothrow_t&) noexcept {
   release(p);
 }
 
@@ -86,12 +89,11 @@ struct Case {
 TEST(QueryAllocations, GuardedTimeAndPowerQueriesAllocateNothing) {
   const auto arch = gpusim::arch_by_name("gtx580");
   const gpusim::Device dev(arch);
-  // Sweeps whose time and power predictors both keep GLM-primary
-  // counters: needle as the cached-analysis benchmark sweeps it, and
-  // matrixMul (16-wide tiles) up to 512.
+  // Small sweeps whose time and power predictors both keep GLM-primary
+  // counters.
   for (const Case& c :
        {Case{"needle", profiling::nw_workload(),
-             profiling::log2_sizes(64, 8192, 25, 16)},
+             profiling::log2_sizes(64, 4096, 20, 16)},
         Case{"matrixMul", profiling::matmul_workload(16),
              profiling::log2_sizes(32, 512, 12, 16)}}) {
     SCOPED_TRACE(c.name);
