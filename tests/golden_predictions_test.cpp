@@ -7,9 +7,11 @@
 // times the largest size, both in memory and after a bundle round trip
 // (plus the power/energy outputs of one powered bundle), and the text of
 // every demotion, clamp and extrapolation flag those guarded predictions
-// carry. Every double is hashed as its IEEE-754 bit pattern, so a
-// refactor of the inference, guard or serialisation code must leave this
-// table untouched.
+// carry, and every counter model's quality record and the output of each
+// model in its fallback chain (the time and power predictors', in memory
+// and after the round trip). Every double is hashed as its IEEE-754 bit
+// pattern, so a refactor of the inference, guard or serialisation code
+// must leave this table untouched.
 //
 // The table lives in tests/data/golden_predictions.txt. When a
 // deliberate model change moves predictions, the failure message prints
@@ -129,6 +131,38 @@ void add_guard_text(Digest& d, const core::ProblemScalingPredictor& p,
   }
 }
 
+/// Every counter-chain entry of one predictor: its fit-time quality
+/// record (chosen kind, R^2, residual deviance, CV RMSE, chain), then each
+/// model of its chain at the case's sizes and at 4x the largest size, with
+/// the exit point's clamp flag. A fallback model is pinned here even where
+/// no guarded query demotes to it.
+std::string chain_digest(const core::CounterModels& cm,
+                         const std::vector<double>& sizes) {
+  Digest d;
+  for (const core::CounterModelInfo& info : cm.info()) {
+    d.str(info.counter).str(core::counter_model_name(info.chosen));
+    d.num(info.r2).num(info.residual_deviance).num(info.cv_rmse);
+    for (const core::CounterModelKind k : info.chain) {
+      d.str(core::counter_model_name(k));
+    }
+    d.end_row();
+  }
+  std::vector<double> queries = sizes;
+  queries.push_back(4.0 * sizes.back());
+  for (std::size_t e = 0; e < cm.num_entries(); ++e) {
+    d.str(cm.entry_counter(e));
+    for (const core::CounterModelKind k : cm.entry_chain(e)) {
+      d.str(core::counter_model_name(k));
+      for (const double s : queries) {
+        bool negative = false;
+        d.num(cm.predict_kind(e, k, {s}, &negative)).count(negative ? 1 : 0);
+      }
+    }
+    d.end_row();
+  }
+  return d.hex();
+}
+
 std::string power_digest(const power::PowerPredictor& pw,
                          const core::ProblemScalingPredictor& time,
                          const std::vector<double>& sizes) {
@@ -214,6 +248,9 @@ void compute_case(const Case& c, const std::filesystem::path& dir,
   const serve::ModelBundle loaded = serve::load_bundle(path);
   ASSERT_EQ(loaded.power.has_value(), c.power);
   out[key + "guarded_bundle"] = guarded_digest(loaded.predictor, c.sizes);
+  out[key + "chain_mem"] = chain_digest(psp.counter_models(), c.sizes);
+  out[key + "chain_bundle"] =
+      chain_digest(loaded.predictor.counter_models(), c.sizes);
   Digest text;
   add_guard_text(text, psp, pw ? &*pw : nullptr, c.sizes);
   add_guard_text(text, loaded.predictor,
@@ -223,6 +260,10 @@ void compute_case(const Case& c, const std::filesystem::path& dir,
   out[key + "power_mem"] = power_digest(*pw, psp, c.sizes);
   out[key + "power_bundle"] =
       power_digest(*loaded.power, loaded.predictor, c.sizes);
+  out[key + "power_chain_mem"] =
+      chain_digest(pw->scaling().counter_models(), c.sizes);
+  out[key + "power_chain_bundle"] =
+      chain_digest(loaded.power->scaling().counter_models(), c.sizes);
 }
 
 TEST(GoldenPredictions, EveryCaseMatchesTable) {
