@@ -114,15 +114,14 @@ int main() {
   core::ProblemScalingOptions pso;
   pso.model.exclude = bench::paper_excludes();
   const auto ps = core::ProblemScalingPredictor::build(sweep, pso);
-  core::CounterModelOptions cmo;
-  const auto cms = core::CounterModels::fit(sweep, predictors, cmo);
+  const auto cms = core::CounterModels::fit(sweep, predictors);
   for (const double n : xs) {
     const double measured =
         profiler.profile(workload, device, n).time_ms;
     const double forest_pred = ps.predict_guarded(n).value;
     // Assemble the pool's feature row from the counter models.
     std::vector<double> row(predictors.size(), 0.0);
-    const auto predicted_counters = cms.predict({n});
+    const auto predicted_counters = cms.predict(n);
     for (std::size_t j = 0; j < predictors.size(); ++j) {
       if (predictors[j] == profiling::kSizeColumn) {
         row[j] = n;

@@ -63,7 +63,7 @@ int main() {
               "the K40 — the machine\ncharacteristics only have to carry "
               "the *time* mapping. Full zero-knowledge prediction\nwould "
               "also need counter models over (size, machine), which "
-              "CounterModels supports\n(multi-input mode) but which the "
-              "paper never attempts.\n");
+              "the paper never\nattempts (CounterModels models the size "
+              "alone).\n");
   return 0;
 }

@@ -13,6 +13,7 @@
 #include "common/thread_pool.hpp"
 #include "ml/cv.hpp"
 #include "ml/metrics.hpp"
+#include "profiling/sweep.hpp"
 
 namespace bf::core {
 namespace {
@@ -22,17 +23,20 @@ namespace {
 constexpr std::size_t kCvFolds = 5;
 constexpr std::uint64_t kCvSeed = 17;
 
-double log_input(double v) { return std::log2(std::max(0.0, v) + 1.0); }
+/// Basis of the primary GLM: a quadratic in log2(size + 1). The input is
+/// already logarithmic, so the basis adds no log term of its own.
+constexpr ml::GlmParams kGlmBasis{.degree = 2, .log_terms = false};
+/// Basis of the log-log linear fallback: a line in log2(size + 1).
+constexpr ml::GlmParams kLogLinearBasis{.degree = 1, .log_terms = false};
 
-linalg::Matrix transform_inputs(const linalg::Matrix& x, bool log_inputs) {
-  if (!log_inputs) return x;
-  linalg::Matrix t(x.rows(), x.cols());
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    for (std::size_t j = 0; j < x.cols(); ++j) {
-      t(i, j) = log_input(x(i, j));
-    }
-  }
-  return t;
+/// The one input every GLM and MARS model takes: log2(size + 1).
+double log_size(double size) { return std::log2(std::max(0.0, size) + 1.0); }
+
+/// One-column design of log2(size + 1) per row.
+linalg::Matrix log_sizes(const std::vector<double>& sizes) {
+  linalg::Matrix x(sizes.size(), 1);
+  for (std::size_t i = 0; i < sizes.size(); ++i) x(i, 0) = log_size(sizes[i]);
+  return x;
 }
 
 /// Decide whether a response should be modelled in log space.
@@ -132,21 +136,14 @@ CounterModels CounterModels::fit(const ml::Dataset& ds,
                                  const std::vector<std::string>& counters,
                                  const CounterModelOptions& options) {
   BF_CHECK_MSG(!counters.empty(), "no counters to model");
-  BF_CHECK_MSG(!options.inputs.empty(), "no input characteristics");
   CounterModels out;
-  out.inputs_ = options.inputs;
-  out.log_inputs_ = options.log_inputs;
+  const std::vector<double>& sizes = ds.column(profiling::kSizeColumn);
+  const linalg::Matrix x = log_sizes(sizes);
 
-  const linalg::Matrix raw_x = ds.to_matrix(options.inputs);
-  const linalg::Matrix x = transform_inputs(raw_x, options.log_inputs);
-
-  // The inputs themselves need no model: callers already hold them.
+  // The size itself needs no model: callers already hold it.
   std::vector<std::string> modelled;
   for (const auto& counter : counters) {
-    if (std::find(options.inputs.begin(), options.inputs.end(), counter) ==
-        options.inputs.end()) {
-      modelled.push_back(counter);
-    }
+    if (counter != profiling::kSizeColumn) modelled.push_back(counter);
   }
   out.entries_.resize(modelled.size());
   out.info_.resize(modelled.size());
@@ -160,7 +157,7 @@ CounterModels CounterModels::fit(const ml::Dataset& ds,
 
     Entry entry;
     entry.counter = counter;
-    entry.log_response = options.auto_log_response && wants_log_response(y_raw);
+    entry.log_response = wants_log_response(y_raw);
     // Real GPU counters (counts/ratios/throughputs) are never negative in
     // training, so their predictions are clamped at the exit point. A
     // synthetic counter that genuinely crosses zero keeps its sign.
@@ -173,12 +170,8 @@ CounterModels CounterModels::fit(const ml::Dataset& ds,
 
     const bool want_glm = options.kind != CounterModelKind::kMars;
     const bool want_mars = options.kind != CounterModelKind::kGlm;
-    if (want_glm) {
-      ml::GlmParams gp = options.glm;
-      if (options.log_inputs) gp.log_terms = false;  // already in log space
-      entry.glm.fit(x, y, gp);
-    }
-    if (want_mars) entry.mars.fit(x, y, options.mars);
+    if (want_glm) entry.glm.fit(x, y, kGlmBasis);
+    if (want_mars) entry.mars.fit(x, y);
 
     // Score both candidates on the *original* counter scale so the choice
     // (and the reported quality) reflects what the forest will consume.
@@ -186,13 +179,9 @@ CounterModels CounterModels::fit(const ml::Dataset& ds,
     // at predict time, and fit-time draws would follow the schedule.
     const auto score = [&](CounterModelKind kind) {
       std::vector<double> pred(y_raw.size());
-      std::vector<double> row(raw_x.cols());
-      std::vector<double> scratch;
       for (std::size_t i = 0; i < y_raw.size(); ++i) {
-        for (std::size_t j = 0; j < raw_x.cols(); ++j) row[j] = raw_x(i, j);
         pred[i] = exit_point(entry.clamp_negative,
-                             out.model_output(entry, kind, row, scratch),
-                             nullptr);
+                             model_output(entry, kind, sizes[i]), nullptr);
       }
       double rss = 0.0;
       for (std::size_t i = 0; i < y_raw.size(); ++i) {
@@ -224,20 +213,10 @@ CounterModels CounterModels::fit(const ml::Dataset& ds,
     info.r2 = tss > 0.0 ? 1.0 - info.residual_deviance / tss : 0.0;
 
     entry.chain = {entry.kind};
-    // Fit the safe extrapolators. The log-log linear model is a
-    // degree-1 GLM on the same (log) basis; the power law anchors on
-    // the last two training points of the first input.
-    ml::GlmParams lp = options.glm;
-    lp.degree = 1;
-    lp.link = ml::LinkFunction::kIdentity;
-    if (options.log_inputs) lp.log_terms = false;
-    entry.loglin.fit(x, y, lp);
-
-    std::vector<double> first_input(y_raw.size());
-    for (std::size_t i = 0; i < y_raw.size(); ++i) {
-      first_input[i] = raw_x(i, 0);
-    }
-    const PowerLaw pl = fit_power_law(first_input, y_raw);
+    // Fit the safe extrapolators: the log-log line, and the power law
+    // through the two largest training sizes.
+    entry.loglin.fit(x, y, kLogLinearBasis);
+    const PowerLaw pl = fit_power_law(sizes, y_raw);
     entry.pl_is_linear = pl.is_linear;
     entry.pl_scale = pl.scale;
     entry.pl_exp = pl.exponent;
@@ -247,57 +226,45 @@ CounterModels CounterModels::fit(const ml::Dataset& ds,
     // Rank the demotion order by k-fold CV error on the raw counter
     // scale. Note the *primary* stays the legacy RSS choice above so
     // the untripped path is bit-identical; CV only orders fallbacks.
-    std::vector<std::string> cols = options.inputs;
-    cols.push_back(counter);
-    const ml::Dataset sub = ds.select_columns(cols);
+    const ml::Dataset sub =
+        ds.select_columns({profiling::kSizeColumn, counter});
     const bool log_resp = entry.log_response;
     const auto cv_for = [&](CounterModelKind kind) {
       return ml::cv_rmse(
           sub, counter, kCvFolds, kCvSeed,
           [&, kind](const ml::Dataset& train, const ml::Dataset& test) {
-            const linalg::Matrix train_raw = train.to_matrix(options.inputs);
-            const linalg::Matrix test_raw = test.to_matrix(options.inputs);
+            const std::vector<double>& train_sizes =
+                train.column(profiling::kSizeColumn);
+            const std::vector<double>& test_sizes =
+                test.column(profiling::kSizeColumn);
             std::vector<double> ty = train.column(counter);
             std::vector<double> pred(test.num_rows());
             if (kind == CounterModelKind::kPowerLaw) {
-              std::vector<double> txs(train.num_rows());
-              for (std::size_t i = 0; i < txs.size(); ++i) {
-                txs[i] = train_raw(i, 0);
-              }
-              const PowerLaw fold_pl = fit_power_law(txs, ty);
+              const PowerLaw fold_pl = fit_power_law(train_sizes, ty);
               for (std::size_t i = 0; i < pred.size(); ++i) {
-                pred[i] = fold_pl.predict(test_raw(i, 0));
+                pred[i] = fold_pl.predict(test_sizes[i]);
               }
               return pred;
             }
-            const linalg::Matrix tx =
-                transform_inputs(train_raw, options.log_inputs);
-            const linalg::Matrix qx =
-                transform_inputs(test_raw, options.log_inputs);
+            const linalg::Matrix tx = log_sizes(train_sizes);
             if (log_resp) {
               for (double& v : ty) v = std::log2(v);
             }
             if (kind == CounterModelKind::kMars) {
               ml::Mars m;
-              m.fit(tx, ty, options.mars);
+              m.fit(tx, ty);
               for (std::size_t i = 0; i < pred.size(); ++i) {
-                std::vector<double> row(qx.cols());
-                for (std::size_t j = 0; j < qx.cols(); ++j) row[j] = qx(i, j);
-                pred[i] = m.predict_row(row.data(), row.size());
+                const double q = log_size(test_sizes[i]);
+                pred[i] = m.predict_row(&q, 1);
               }
             } else {
-              ml::GlmParams gp = options.glm;
-              if (options.log_inputs) gp.log_terms = false;
-              if (kind == CounterModelKind::kLogLinear) {
-                gp.degree = 1;
-                gp.link = ml::LinkFunction::kIdentity;
-              }
               ml::Glm g;
-              g.fit(tx, ty, gp);
+              g.fit(tx, ty,
+                    kind == CounterModelKind::kLogLinear ? kLogLinearBasis
+                                                         : kGlmBasis);
               for (std::size_t i = 0; i < pred.size(); ++i) {
-                std::vector<double> row(qx.cols());
-                for (std::size_t j = 0; j < qx.cols(); ++j) row[j] = qx(i, j);
-                pred[i] = g.predict_row(row.data(), row.size());
+                const double q = log_size(test_sizes[i]);
+                pred[i] = g.predict_row(&q, 1);
               }
             }
             if (log_resp) {
@@ -338,16 +305,8 @@ CounterModels CounterModels::fit(const ml::Dataset& ds,
   return out;
 }
 
-double CounterModels::predict_entry(const Entry& entry,
-                                    std::span<const double> inputs,
-                                    std::vector<double>& scratch) const {
-  return predict_entry_kind(entry, entry.kind, inputs, scratch, nullptr);
-}
-
 double CounterModels::model_output(const Entry& entry, CounterModelKind kind,
-                                   std::span<const double> inputs,
-                                   std::vector<double>& scratch) const {
-  double v;
+                                   double size) {
   if (kind == CounterModelKind::kPowerLaw) {
     PowerLaw pl;
     pl.is_linear = entry.pl_is_linear;
@@ -355,30 +314,24 @@ double CounterModels::model_output(const Entry& entry, CounterModelKind kind,
     pl.exponent = entry.pl_exp;
     pl.x0 = entry.pl_x0;
     pl.y0 = entry.pl_y0;
-    v = pl.predict(inputs.empty() ? 0.0 : inputs[0]);
-  } else {
-    scratch.assign(inputs.begin(), inputs.end());
-    if (log_inputs_) {
-      for (double& u : scratch) u = log_input(u);
-    }
-    if (kind == CounterModelKind::kMars) {
-      v = entry.mars.predict_row(scratch.data(), scratch.size());
-    } else if (kind == CounterModelKind::kLogLinear) {
-      v = entry.loglin.predict_row(scratch.data(), scratch.size());
-    } else {
-      v = entry.glm.predict_row(scratch.data(), scratch.size());
-    }
-    if (entry.log_response) v = std::exp2(std::clamp(v, -60.0, 60.0));
+    return pl.predict(size);
   }
+  const double x = log_size(size);
+  double v;
+  if (kind == CounterModelKind::kMars) {
+    v = entry.mars.predict_row(&x, 1);
+  } else if (kind == CounterModelKind::kLogLinear) {
+    v = entry.loglin.predict_row(&x, 1);
+  } else {
+    v = entry.glm.predict_row(&x, 1);
+  }
+  if (entry.log_response) v = std::exp2(std::clamp(v, -60.0, 60.0));
   return v;
 }
 
-double CounterModels::predict_entry_kind(const Entry& entry,
-                                         CounterModelKind kind,
-                                         std::span<const double> inputs,
-                                         std::vector<double>& scratch,
-                                         bool* negative_clamped) const {
-  double v = model_output(entry, kind, inputs, scratch);
+double CounterModels::predict_entry(const Entry& entry, CounterModelKind kind,
+                                    double size, bool* negative_clamped) {
+  double v = model_output(entry, kind, size);
   if (fault::should_fire(fault::points::kCounterModelDiverge)) {
     // Simulated runaway extrapolation: the guard's sanity envelope must
     // catch this and demote down the chain.
@@ -388,22 +341,9 @@ double CounterModels::predict_entry_kind(const Entry& entry,
 }
 
 double CounterModels::predict_kind(std::size_t entry, CounterModelKind kind,
-                                   const std::vector<double>& inputs,
-                                   bool* negative_clamped) const {
-  std::vector<double> scratch;
-  return predict_kind(entry, kind, std::span<const double>(inputs), scratch,
-                      negative_clamped);
-}
-
-double CounterModels::predict_kind(std::size_t entry, CounterModelKind kind,
-                                   std::span<const double> inputs,
-                                   std::vector<double>& scratch,
-                                   bool* negative_clamped) const {
+                                   double size, bool* negative_clamped) const {
   BF_CHECK_MSG(entry < entries_.size(), "counter model index out of range");
-  BF_CHECK_MSG(inputs.size() == inputs_.size(),
-               "expected " << inputs_.size() << " input values");
-  return predict_entry_kind(entries_[entry], kind, inputs, scratch,
-                            negative_clamped);
+  return predict_entry(entries_[entry], kind, size, negative_clamped);
 }
 
 const std::string& CounterModels::entry_counter(std::size_t entry) const {
@@ -418,14 +358,12 @@ const std::vector<CounterModelKind>& CounterModels::entry_chain(
 }
 
 std::vector<std::pair<std::string, double>> CounterModels::predict(
-    const std::vector<double>& inputs) const {
-  BF_CHECK_MSG(inputs.size() == inputs_.size(),
-               "expected " << inputs_.size() << " input values");
+    double size) const {
   std::vector<std::pair<std::string, double>> out;
   out.reserve(entries_.size());
-  std::vector<double> scratch;
   for (const auto& entry : entries_) {
-    out.emplace_back(entry.counter, predict_entry(entry, inputs, scratch));
+    out.emplace_back(entry.counter,
+                     predict_entry(entry, entry.kind, size, nullptr));
   }
   return out;
 }
@@ -470,14 +408,17 @@ bool chain_has(const std::vector<CounterModelKind>& chain,
   return std::find(chain.begin(), chain.end(), kind) != chain.end();
 }
 
+/// True when a loaded GLM or MARS model takes exactly one input.
+template <class Model>
+bool fitted_on_size(const Model& model) {
+  return model.fitted() && model.num_inputs() == 1;
+}
+
 }  // namespace
 
 void CounterModels::save(std::ostream& os) const {
   os.precision(17);
-  os << "bf_counter_models 2\n";
-  os << inputs_.size();
-  for (const auto& name : inputs_) os << ' ' << name;
-  os << ' ' << (log_inputs_ ? 1 : 0) << "\n";
+  os << "bf_counter_models 3\n";
   os << "entries " << entries_.size() << "\n";
   for (const auto& e : entries_) {
     os << e.counter << ' ' << static_cast<int>(e.kind) << ' '
@@ -498,24 +439,13 @@ void CounterModels::save(std::ostream& os) const {
 }
 
 CounterModels CounterModels::load(std::istream& is) {
-  read_format_version(is, "bf_counter_models", 2);
+  read_format_version(is, "bf_counter_models", 3);
   CounterModels out;
-  std::size_t n_inputs = 0;
-  BF_CHECK_MSG(static_cast<bool>(is >> n_inputs) && n_inputs >= 1 &&
-                   n_inputs <= 64,
-               "bf_counter_models: bad input count");
-  out.inputs_.resize(n_inputs);
-  for (auto& name : out.inputs_) {
-    BF_CHECK_MSG(static_cast<bool>(is >> name),
-                 "bf_counter_models: truncated inputs");
-  }
-  int log_inputs = 0;
   std::string tag;
   std::size_t n_entries = 0;
-  BF_CHECK_MSG(static_cast<bool>(is >> log_inputs >> tag >> n_entries) &&
+  BF_CHECK_MSG(static_cast<bool>(is >> tag >> n_entries) &&
                    tag == "entries" && n_entries <= 100'000,
                "bf_counter_models: malformed entries header");
-  out.log_inputs_ = log_inputs != 0;
   out.entries_.resize(n_entries);
   for (auto& e : out.entries_) {
     int kind = 0;
@@ -545,6 +475,21 @@ CounterModels CounterModels::load(std::istream& is) {
     e.glm = ml::Glm::load(is);
     e.mars = ml::Mars::load(is);
     e.loglin = ml::Glm::load(is);
+    // Every model the chain names must be fitted on the one input, the
+    // log size: otherwise the record would load and then fail every query
+    // that reaches that model. "auto" is a fit-time choice, not a model.
+    for (const CounterModelKind k : e.chain) {
+      const bool held =
+          k == CounterModelKind::kPowerLaw ||
+          (k == CounterModelKind::kGlm && fitted_on_size(e.glm)) ||
+          (k == CounterModelKind::kMars && fitted_on_size(e.mars)) ||
+          (k == CounterModelKind::kLogLinear && fitted_on_size(e.loglin));
+      BF_CHECK_MSG(held, "bf_counter_models: chain for "
+                             << e.counter << " names "
+                             << counter_model_name(k)
+                             << ", which the record does not hold fitted on "
+                                "the size");
+    }
   }
   std::size_t n_info = 0;
   BF_CHECK_MSG(static_cast<bool>(is >> tag >> n_info) && tag == "info" &&

@@ -1,9 +1,15 @@
 // Stage 5 (results interpretation / prediction): model each retained
-// counter as a function of the problem characteristics so that, for an
-// unseen problem size, the counter vector can be generated and fed to the
+// counter as a function of the problem size so that, for an unseen
+// problem size, the counter vector can be generated and fed to the
 // random forest (§4.2: "we can use the models to generate values for the
 // most influential variables from an unseen problem size for which the
 // execution time will be predicted by the random forest").
+//
+// Every model works in log2(size + 1): GPU counters are power laws in the
+// problem size (O(n^2) data, O(n^3) work, ...), which become low-degree
+// polynomials there and extrapolate far more safely. A strictly positive
+// counter spanning more than two decades is modelled as log2(counter)
+// and mapped back with exp2.
 //
 // Trivial counters get generalised linear models; gnarlier ones get MARS,
 // matching the paper's use of glm for MM and earth for NW. Each counter
@@ -16,7 +22,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -32,7 +37,7 @@ enum class CounterModelKind {
   /// Fit both, keep whichever has the better training R^2 (with a small
   /// parsimony bonus for the GLM).
   kAuto,
-  /// Degree-1 GLM on the (log) basis — the classic log-log linear fit
+  /// Degree-1 GLM in log2(size + 1) — the classic log-log linear fit
   /// that extrapolates power laws safely.
   kLogLinear,
   /// Power law c * size^e through the last two training points; immune
@@ -44,19 +49,8 @@ enum class CounterModelKind {
 const char* counter_model_name(CounterModelKind kind);
 
 struct CounterModelOptions {
+  /// Primary model of every counter (kGlm, kMars or kAuto).
   CounterModelKind kind = CounterModelKind::kAuto;
-  /// Input columns (problem and/or machine characteristics).
-  std::vector<std::string> inputs = {"size"};
-  /// Model in log2(input+1) space. GPU counters are power laws in the
-  /// problem size (O(n^2) data, O(n^3) work, ...), which become low-degree
-  /// polynomials in log space and extrapolate far more safely.
-  bool log_inputs = true;
-  /// Fit log2(response) when the counter is strictly positive and spans
-  /// more than two decades; predictions are mapped back with exp2. This
-  /// keeps wide-range count counters positive and accurate.
-  bool auto_log_response = true;
-  ml::GlmParams glm;
-  ml::MarsParams mars;
 };
 
 /// Quality record for one fitted counter model.
@@ -73,30 +67,22 @@ struct CounterModelInfo {
 
 class CounterModels {
  public:
-  /// Fit one model per name in `counters` from the rows of `ds`.
+  /// Fit one model per name in `counters` from the rows of `ds`, each a
+  /// function of the row's problem size (the "size" column, which needs
+  /// no model of its own and is skipped if listed).
   static CounterModels fit(const ml::Dataset& ds,
                            const std::vector<std::string>& counters,
                            const CounterModelOptions& options = {});
 
-  /// Predict every modelled counter at the given input values (same order
-  /// as options.inputs); returns pairs (counter, value).
-  std::vector<std::pair<std::string, double>> predict(
-      const std::vector<double>& inputs) const;
+  /// Predict every modelled counter at one problem size; returns pairs
+  /// (counter, value).
+  std::vector<std::pair<std::string, double>> predict(double size) const;
 
-  /// Predict counter `entry` with one specific model from its chain
-  /// (the guard layer's demotion primitive). When `negative_clamped` is
-  /// non-null it reports whether the raw model output was negative
-  /// before the exit-point clamp.
-  double predict_kind(std::size_t entry, CounterModelKind kind,
-                      const std::vector<double>& inputs,
-                      bool* negative_clamped = nullptr) const;
-
-  /// Allocation-free form of predict_kind for the serving hot path: the
-  /// inputs arrive as a span and the log-space transform writes into a
-  /// caller-reused scratch buffer instead of a per-call temporary.
-  double predict_kind(std::size_t entry, CounterModelKind kind,
-                      std::span<const double> inputs,
-                      std::vector<double>& scratch,
+  /// Predict counter `entry` at `size` with one specific model from its
+  /// chain (the guard layer's demotion primitive); allocates nothing.
+  /// When `negative_clamped` is non-null it reports whether the raw model
+  /// output was negative before the exit-point clamp.
+  double predict_kind(std::size_t entry, CounterModelKind kind, double size,
                       bool* negative_clamped = nullptr) const;
 
   std::size_t num_entries() const { return entries_.size(); }
@@ -105,7 +91,6 @@ class CounterModels {
   const std::vector<CounterModelKind>& entry_chain(std::size_t entry) const;
 
   const std::vector<CounterModelInfo>& info() const { return info_; }
-  const std::vector<std::string>& inputs() const { return inputs_; }
   /// Mean training R^2 across counters (the paper quotes 0.99 for NW).
   double average_r2() const;
 
@@ -126,7 +111,7 @@ class CounterModels {
     ml::Mars mars;
     // ---- fallback chain ----
     ml::Glm loglin;
-    /// Power law y = pl_scale * s^pl_exp on the first input; when the
+    /// Power law y = pl_scale * s^pl_exp in the raw size; when the
     /// anchor points are non-positive a linear segment through the last
     /// two points is used instead.
     bool pl_is_linear = false;
@@ -137,19 +122,13 @@ class CounterModels {
     std::vector<CounterModelKind> chain;
   };
 
-  double predict_entry(const Entry& entry, std::span<const double> inputs,
-                       std::vector<double>& scratch) const;
   /// Model `kind`'s output on the counter scale, before the exit point.
-  double model_output(const Entry& entry, CounterModelKind kind,
-                      std::span<const double> inputs,
-                      std::vector<double>& scratch) const;
-  double predict_entry_kind(const Entry& entry, CounterModelKind kind,
-                            std::span<const double> inputs,
-                            std::vector<double>& scratch,
-                            bool* negative_clamped) const;
+  static double model_output(const Entry& entry, CounterModelKind kind,
+                             double size);
+  /// Model `kind`'s output through the divergence fault and the exit point.
+  static double predict_entry(const Entry& entry, CounterModelKind kind,
+                              double size, bool* negative_clamped);
 
-  std::vector<std::string> inputs_;
-  bool log_inputs_ = true;
   std::vector<Entry> entries_;
   std::vector<CounterModelInfo> info_;
 };

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <istream>
 #include <ostream>
-#include <span>
 
 #include "common/error.hpp"
 #include "common/io.hpp"
@@ -96,10 +95,9 @@ ProblemScalingPredictor ProblemScalingPredictor::build(
   }
   p.reduced_ = p.full_.refit_with(p.retained_);
 
-  CounterModelOptions cm = options.counter_models;
-  cm.inputs = {profiling::kSizeColumn};
   p.arch_ = options.arch;
-  p.counters_ = CounterModels::fit(p.full_.train_data(), p.retained_, cm);
+  p.counters_ = CounterModels::fit(p.full_.train_data(), p.retained_,
+                                   options.counter_models);
 
   // Guard fit-time state: the training hull over every retained feature
   // and the per-counter sanity envelope the fallback chain is judged by.
@@ -133,11 +131,7 @@ void ProblemScalingPredictor::resolve_plan() {
                              : static_cast<std::size_t>(it - names.begin());
   };
   // Every slot of the row is filled by exactly one generated feature:
-  // the size itself or one counter-chain entry, whose only input is the
-  // size.
-  BF_CHECK_MSG(counters_.inputs() ==
-                   std::vector<std::string>{profiling::kSizeColumn},
-               "bf_psp: counter models must take the size as their input");
+  // the size itself or one counter-chain entry, a model of the size.
   std::vector<bool> filled(names.size(), false);
   const auto claim = [&](const std::string& feature) {
     const std::size_t slot = slot_of(feature);
@@ -179,20 +173,16 @@ guard::PredictionGuardRecord ProblemScalingPredictor::predict_guarded(
   const std::vector<std::string>& names = reduced_.predictors();
 
   // The query row, in the reduced forest's predictor order, and the
-  // counter-chain and forest scratch live in per-thread buffers that
-  // every query overwrites before reading: after a thread's first query
-  // the common path (no demotion, no clamp) allocates nothing.
+  // forest scratch live in per-thread buffers that every query overwrites
+  // before reading: after a thread's first query the common path (no
+  // demotion, no clamp) allocates nothing.
   struct Buffers {
     std::vector<double> row;
-    std::vector<double> chain;
     ml::ForestScratch forest;
   };
   thread_local Buffers buffers;
   std::vector<double>& row = buffers.row;
   row.resize(names.size());
-  const double cm_in[1] = {size};
-  const std::span<const double> cm_inputs(cm_in);
-  std::vector<double>& cm_scratch = buffers.chain;
   ml::ForestScratch& forest_scratch = buffers.forest;
 
   // 1. Generate the retained counters, demoting down each fallback chain
@@ -200,8 +190,8 @@ guard::PredictionGuardRecord ProblemScalingPredictor::predict_guarded(
   row[plan_.size_slot] = size;
   for (std::size_t e = 0; e < counters_.num_entries(); ++e) {
     const auto& chain = counters_.entry_chain(e);
-    const double pl = counters_.predict_kind(e, CounterModelKind::kPowerLaw,
-                                             cm_inputs, cm_scratch);
+    const double pl =
+        counters_.predict_kind(e, CounterModelKind::kPowerLaw, size);
     const double envelope = std::max(train_max_[e], pl) * guard::kDemoteSlack;
     const bool beyond_train = size > max_train_size_;
     double value = 0.0;
@@ -209,8 +199,7 @@ guard::PredictionGuardRecord ProblemScalingPredictor::predict_guarded(
     const char* first_failure = nullptr;
     for (const CounterModelKind kind : chain) {
       bool neg = false;
-      const double v =
-          counters_.predict_kind(e, kind, cm_inputs, cm_scratch, &neg);
+      const double v = counters_.predict_kind(e, kind, size, &neg);
       const char* why = nullptr;
       if (!std::isfinite(v)) {
         why = "non-finite";
@@ -239,8 +228,7 @@ guard::PredictionGuardRecord ProblemScalingPredictor::predict_guarded(
     if (!accepted) {
       // Every model failed: fall back to the power law clamped into the
       // envelope — the least-wrong physically meaningful value.
-      double v = counters_.predict_kind(e, CounterModelKind::kPowerLaw,
-                                        cm_inputs, cm_scratch);
+      double v = counters_.predict_kind(e, CounterModelKind::kPowerLaw, size);
       if (!std::isfinite(v)) v = train_at_max_size_[e];
       value = std::clamp(v, 0.0, envelope);
       rec.clamps.push_back(guard::clamp_text(

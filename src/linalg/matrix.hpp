@@ -29,8 +29,8 @@ class Matrix {
   std::size_t cols() const { return cols_; }
   bool empty() const { return rows_ == 0 || cols_ == 0; }
 
-  /// Checked element access, inline because the QR, IRLS and MARS loops
-  /// read every element through it; only the failure is out of line.
+  /// Checked element access, inline because the QR and MARS loops read
+  /// every element through it; only the failure is out of line.
   double& operator()(std::size_t r, std::size_t c) {
     if (!(r < rows_ && c < cols_)) index_error(r, c);
     return data_[r * cols_ + c];

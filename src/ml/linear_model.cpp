@@ -13,15 +13,6 @@
 namespace bf::ml {
 namespace {
 
-// Guard the log-link inverse against overflow for wild IRLS intermediate
-// steps; counters never legitimately exceed e^60.
-double safe_exp(double v) { return std::exp(std::clamp(v, -60.0, 60.0)); }
-
-/// IRLS stops after this many steps, or earlier once no coefficient moves
-/// by more than kIrlsTol.
-constexpr int kMaxIrlsIter = 50;
-constexpr double kIrlsTol = 1e-9;
-
 /// Basis columns per input: its powers 1..degree and its log2 term.
 std::size_t terms_per_input(const GlmParams& params) {
   return static_cast<std::size_t>(params.degree) + (params.log_terms ? 1 : 0);
@@ -64,49 +55,7 @@ void Glm::fit(const linalg::Matrix& x, const std::vector<double>& y,
                    [&](double v) { design(i, j++) = v; });
   }
 
-  if (params_.link == LinkFunction::kIdentity) {
-    const auto sol = linalg::qr_least_squares(design, y);
-    coef_ = sol.coefficients;
-  } else {
-    // IRLS for a Gaussian family with log link: mu = exp(eta).
-    // Working response z = eta + (y - mu)/mu', weights w = (mu')^2.
-    for (double v : y) {
-      BF_CHECK_MSG(v > 0.0, "log link requires positive responses");
-    }
-    // Start from the identity fit on log(y).
-    std::vector<double> log_y(n);
-    for (std::size_t i = 0; i < n; ++i) log_y[i] = std::log(y[i]);
-    coef_ = linalg::qr_least_squares(design, log_y).coefficients;
-
-    std::vector<double> eta(n);
-    for (int iter = 0; iter < kMaxIrlsIter; ++iter) {
-      for (std::size_t i = 0; i < n; ++i) {
-        eta[i] = 0.0;
-        for (std::size_t j = 0; j < pb; ++j) {
-          eta[i] += design(i, j) * coef_[j];
-        }
-      }
-      // Weighted least squares step.
-      linalg::Matrix wdesign(n, pb);
-      std::vector<double> wz(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double mu = safe_exp(eta[i]);
-        const double w = mu;  // sqrt of weight mu^2
-        const double z = eta[i] + (y[i] - mu) / std::max(mu, 1e-12);
-        for (std::size_t j = 0; j < pb; ++j) {
-          wdesign(i, j) = design(i, j) * w;
-        }
-        wz[i] = z * w;
-      }
-      const auto sol = linalg::qr_least_squares(wdesign, wz);
-      double delta = 0.0;
-      for (std::size_t j = 0; j < pb; ++j) {
-        delta = std::max(delta, std::fabs(sol.coefficients[j] - coef_[j]));
-      }
-      coef_ = sol.coefficients;
-      if (delta < kIrlsTol) break;
-    }
-  }
+  coef_ = linalg::qr_least_squares(design, y).coefficients;
 
   // Deviance bookkeeping on the response scale.
   const auto pred = predict(x);
@@ -129,7 +78,7 @@ double Glm::predict_row(const double* row, std::size_t num_inputs) const {
   std::size_t j = 0;
   for_each_basis(params_, row, num_inputs,
                  [&](double b) { eta += b * coef_[j++]; });
-  return params_.link == LinkFunction::kLog ? safe_exp(eta) : eta;
+  return eta;
 }
 
 std::vector<double> Glm::predict(const linalg::Matrix& x) const {
@@ -150,25 +99,21 @@ void Glm::save(std::ostream& os) const {
   // An unfitted GLM (coef count 0) is a legal record: counter-model
   // entries only fit the members their chain actually uses.
   os.precision(17);
-  os << "bf_glm 2\n";
-  os << (params_.link == LinkFunction::kLog ? 1 : 0) << ' ' << params_.degree
-     << ' ' << (params_.log_terms ? 1 : 0) << "\n";
+  os << "bf_glm 3\n";
+  os << params_.degree << ' ' << (params_.log_terms ? 1 : 0) << "\n";
   os << num_inputs_ << ' ' << coef_.size();
   for (const double c : coef_) os << ' ' << c;
   os << ' ' << residual_deviance_ << ' ' << null_deviance_ << "\n";
 }
 
 Glm Glm::load(std::istream& is) {
-  read_format_version(is, "bf_glm", 2);
+  read_format_version(is, "bf_glm", 3);
   Glm g;
-  int link = 0;
   int log_terms = 0;
   std::size_t ncoef = 0;
-  BF_CHECK_MSG(static_cast<bool>(is >> link >> g.params_.degree >> log_terms >>
+  BF_CHECK_MSG(static_cast<bool>(is >> g.params_.degree >> log_terms >>
                                  g.num_inputs_ >> ncoef),
                "malformed bf_glm record");
-  BF_CHECK_MSG(link == 0 || link == 1, "bf_glm: bad link code " << link);
-  g.params_.link = link == 1 ? LinkFunction::kLog : LinkFunction::kIdentity;
   g.params_.log_terms = log_terms != 0;
   BF_CHECK_MSG(ncoef <= 1'000'000, "bf_glm: implausible coefficient count");
   // predict_row reads one coefficient per basis term: a fitted record

@@ -2,10 +2,10 @@
 //
 // Stage 5 of the paper's methodology fits each retained counter as a
 // function of problem characteristics; "unless confronted with trivial
-// cases … (generalized) linear models are adequate". We provide ordinary
-// least squares on a configurable polynomial/log basis, plus a Gaussian GLM
-// with a log link (fit by IRLS) for strictly positive counters, and report
-// the residual deviance the paper quotes for the MM counter models.
+// cases … (generalized) linear models are adequate". We provide a
+// Gaussian GLM with the identity link, i.e. ordinary least squares on a
+// configurable polynomial/log basis, and report the residual deviance the
+// paper quotes for the MM counter models.
 #pragma once
 
 #include <iosfwd>
@@ -16,13 +16,7 @@
 
 namespace bf::ml {
 
-enum class LinkFunction {
-  kIdentity,  ///< ordinary least squares
-  kLog,       ///< Gaussian GLM with log link (IRLS)
-};
-
 struct GlmParams {
-  LinkFunction link = LinkFunction::kIdentity;
   /// Polynomial degree of the basis expansion of each input (>=1).
   int degree = 2;
   /// Also include log2(x+1) of each input in the basis — counters are
@@ -50,6 +44,7 @@ class Glm {
 
   const std::vector<double>& coefficients() const { return coef_; }
   bool fitted() const { return !coef_.empty(); }
+  std::size_t num_inputs() const { return num_inputs_; }
 
   /// Serialise the fitted model (basis parameters + coefficients) so a
   /// .bfmodel bundle can round-trip it bit for bit.

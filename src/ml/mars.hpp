@@ -41,6 +41,7 @@ class Mars {
   /// Final number of terms including the intercept.
   std::size_t num_terms() const { return terms_.size(); }
   bool fitted() const { return !terms_.empty(); }
+  std::size_t num_inputs() const { return num_inputs_; }
 
   /// Human-readable model, e.g. "3.2 + 1.4*h(x0-128) - 0.8*h(256-x1)".
   std::string to_string(const std::vector<std::string>& var_names = {}) const;

@@ -34,7 +34,7 @@ namespace bf::serve {
 /// readable version; a bundle written by an older build is rejected (and
 /// quarantined) rather than converted — re-export it with
 /// `bf_analyze --export-model`.
-inline constexpr int kBundleFormatVersion = 6;
+inline constexpr int kBundleFormatVersion = 7;
 
 /// File suffix of model bundles ("reduce1.bfmodel").
 inline constexpr const char* kBundleSuffix = ".bfmodel";

@@ -54,34 +54,6 @@ TEST(Glm, QuadraticBasisFitsParabola) {
   EXPECT_NEAR(glm.residual_deviance(), 0.0, 1e-9);
 }
 
-TEST(Glm, LogLinkFitsExponentialGrowth) {
-  // y = 2 * 1.5^x: exactly log-linear.
-  std::vector<double> xs;
-  std::vector<double> y;
-  for (int i = 0; i <= 12; ++i) {
-    xs.push_back(i);
-    y.push_back(2.0 * std::pow(1.5, i));
-  }
-  Glm glm;
-  GlmParams params;
-  params.link = LinkFunction::kLog;
-  params.degree = 1;
-  params.log_terms = false;
-  glm.fit(column_matrix(xs), y, params);
-  const double probe[1] = {14.0};
-  const double expected = 2.0 * std::pow(1.5, 14);
-  EXPECT_NEAR(glm.predict_row(probe, 1) / expected, 1.0, 1e-6);
-}
-
-TEST(Glm, LogLinkRejectsNonPositive) {
-  Glm glm;
-  GlmParams params;
-  params.link = LinkFunction::kLog;
-  EXPECT_THROW(glm.fit(column_matrix({1, 2, 3, 4}), {1.0, 2.0, 0.0, 3.0},
-                       params),
-               Error);
-}
-
 TEST(Glm, DevianceDecomposition) {
   Rng rng(1);
   std::vector<double> xs;
@@ -107,13 +79,13 @@ TEST(Glm, InputValidation) {
   // A record whose coefficients do not match its basis would make
   // predict_row read past them: one input of degree 2 with log terms
   // takes 4 coefficients (or none, unfitted).
-  for (const char* record : {"bf_glm 2\n0 2 1\n1 1 5 0 0\n",
-                             "bf_glm 2\n0 2 1\n1 5 1 2 3 4 5 0 0\n",
-                             "bf_glm 2\n0 0 1\n1 1 5 0 0\n"}) {
+  for (const char* record : {"bf_glm 3\n2 1\n1 1 5 0 0\n",
+                             "bf_glm 3\n2 1\n1 5 1 2 3 4 5 0 0\n",
+                             "bf_glm 3\n0 1\n1 1 5 0 0\n"}) {
     std::istringstream in(record);
     EXPECT_THROW(Glm::load(in), Error) << record;
   }
-  std::istringstream ok("bf_glm 2\n0 2 1\n1 4 1 2 3 4 0 0\n");
+  std::istringstream ok("bf_glm 3\n2 1\n1 4 1 2 3 4 0 0\n");
   EXPECT_TRUE(Glm::load(ok).fitted());
 }
 

@@ -155,7 +155,7 @@ std::string chain_digest(const core::CounterModels& cm,
       d.str(core::counter_model_name(k));
       for (const double s : queries) {
         bool negative = false;
-        d.num(cm.predict_kind(e, k, {s}, &negative)).count(negative ? 1 : 0);
+        d.num(cm.predict_kind(e, k, s, &negative)).count(negative ? 1 : 0);
       }
     }
     d.end_row();

@@ -288,43 +288,137 @@ TEST(CounterModelChain, ChainIsFitAndRankedByCv) {
   const double far = 4.0 * 65536;
   const double expected = 2.0 * std::pow(far, 1.5);
   const double pl =
-      models.predict_kind(0, core::CounterModelKind::kPowerLaw, {far});
+      models.predict_kind(0, core::CounterModelKind::kPowerLaw, far);
   EXPECT_NEAR(pl, expected, 0.01 * expected);
 }
 
 TEST(CounterModelChain, EveryPredictionExitsNonNegative) {
-  // A decreasing line goes negative under extrapolation; the single exit
-  // point must clamp it to zero and report the clamp.
+  // A counter falling linearly in log2(size + 1) goes negative under
+  // extrapolation; the single exit point must clamp it to zero and
+  // report the clamp.
   ml::Dataset ds;
-  ds.add_column("size", {10, 20, 30, 40});
-  ds.add_column("stalls", {90, 80, 70, 60});  // 100 - size
+  ds.add_column("size", {7, 15, 31, 63});
+  ds.add_column("stalls", {70, 60, 50, 40});  // 100 - 10 log2(size + 1)
 
   core::CounterModelOptions opts;
   opts.kind = core::CounterModelKind::kGlm;
-  opts.log_inputs = false;
-  opts.auto_log_response = false;
-  opts.glm.degree = 1;
-  opts.glm.log_terms = false;
   const auto models = core::CounterModels::fit(ds, {"stalls"}, opts);
   ASSERT_EQ(models.num_entries(), 1u);
 
   bool negative_clamped = false;
   const double v = models.predict_kind(0, core::CounterModelKind::kGlm,
-                                       {500.0}, &negative_clamped);
+                                       4095.0, &negative_clamped);
   EXPECT_EQ(v, 0.0);
   EXPECT_TRUE(negative_clamped);
 
   // The bulk predict path shares the same exit.
-  const auto pairs = models.predict({500.0});
+  const auto pairs = models.predict(4095.0);
   ASSERT_EQ(pairs.size(), 1u);
-  EXPECT_GE(pairs[0].second, 0.0);
+  EXPECT_EQ(pairs[0].second, 0.0);
 
   // In-range predictions are untouched (and report no clamp).
   negative_clamped = true;
   const double mid = models.predict_kind(0, core::CounterModelKind::kGlm,
-                                         {25.0}, &negative_clamped);
-  EXPECT_NEAR(mid, 75.0, 1e-6);
+                                         23.0, &negative_clamped);
+  EXPECT_NEAR(mid, 100.0 - 10.0 * std::log2(24.0), 1e-6);
   EXPECT_FALSE(negative_clamped);
+}
+
+TEST(CounterModelChain, LoadRejectsAChainModelItDoesNotHold) {
+  // A record whose chain names a model it does not hold, fitted on the
+  // size alone, would load and then fail (or answer with another model)
+  // on every query that reaches that model: load refuses it and names
+  // the counter.
+  ml::Dataset ds;
+  std::vector<double> sizes;
+  std::vector<double> y;
+  for (double s = 64; s <= 65536; s *= 2) {
+    sizes.push_back(s);
+    y.push_back(2.0 * std::pow(s, 1.5));
+  }
+  ds.add_column("size", sizes);
+  ds.add_column("flops", y);
+  // The saved lines of a chain fitted with `kind` as its primary.
+  const auto saved_lines = [&](core::CounterModelKind kind) {
+    core::CounterModelOptions opts;
+    opts.kind = kind;
+    std::ostringstream os;
+    core::CounterModels::fit(ds, {"flops"}, opts).save(os);
+    std::vector<std::string> lines;
+    std::istringstream is(os.str());
+    for (std::string line; std::getline(is, line);) lines.push_back(line);
+    return lines;
+  };
+  // Index of the n-th line that starts with `magic`.
+  const auto nth = [](const std::vector<std::string>& lines,
+                      const std::string& magic, int n) {
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      if (lines[i].rfind(magic, 0) == 0 && n-- == 0) return i;
+    }
+    ADD_FAILURE() << "no record " << magic;
+    return lines.size();
+  };
+  const auto join = [](const std::vector<std::string>& lines) {
+    std::string text;
+    for (const auto& line : lines) text += line + "\n";
+    return text;
+  };
+
+  const auto glm = saved_lines(core::CounterModelKind::kGlm);
+  const std::size_t entry = nth(glm, "flops ", 0);
+  ASSERT_EQ(glm[entry].substr(0, 8), "flops 0 ");  // GLM primary
+  std::vector<std::string> cases;
+  {
+    // The primary GLM's coefficients blanked: an unfitted record.
+    auto lines = glm;
+    lines[nth(lines, "bf_glm ", 0) + 2] = "1 0 0 0";
+    cases.push_back(join(lines));
+  }
+  {
+    // The log-log line refitted on two inputs: a third coefficient.
+    auto lines = glm;
+    std::string& coef = lines[nth(lines, "bf_glm ", 1) + 2];
+    ASSERT_EQ(coef.substr(0, 4), "1 2 ");
+    const std::size_t rest = coef.find(' ', coef.find(' ', 4) + 1);
+    coef = "2 3 " + coef.substr(4, rest - 4) + " 0" + coef.substr(rest);
+    cases.push_back(join(lines));
+  }
+  {
+    // "auto" as the primary and the chain head.
+    auto lines = glm;
+    lines[entry].replace(6, 1, "2");
+    std::string& chain = lines[entry + 1];
+    chain.replace(chain.find(' ') + 1, 1, "2");
+    cases.push_back(join(lines));
+  }
+  {
+    // A MARS primary whose terms are gone.
+    auto lines = saved_lines(core::CounterModelKind::kMars);
+    const std::size_t mars = nth(lines, "bf_mars ", 0);
+    const std::size_t next = nth(lines, "bf_glm ", 1);
+    lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(mars) + 1,
+                lines.begin() + static_cast<std::ptrdiff_t>(next));
+    lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(mars) + 1,
+                 "0 0 0 0");
+    cases.push_back(join(lines));
+  }
+  {
+    std::istringstream is(join(glm));
+    EXPECT_GT(core::CounterModels::load(is).predict_kind(
+                  0, core::CounterModelKind::kGlm, 1024.0),
+              0.0);
+  }
+  for (const std::string& text : cases) {
+    std::istringstream is(text);
+    try {
+      (void)core::CounterModels::load(is);
+      ADD_FAILURE() << "loaded:\n" << text;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("chain for flops"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(CounterModelChain, FallbackChainRecordsPrimaryCvError) {

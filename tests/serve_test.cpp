@@ -199,7 +199,8 @@ TEST_F(ServeTest, BadMagicAndOtherVersionsAreRejected) {
   const std::string content = *read_file(bundle_path("reduce1"));
   EXPECT_NO_THROW(serve::bundle_from_string(content, "t"));
   // Every past vintage and a future one: exactly one version is read.
-  for (const int version : {1, 2, 3, 4, 5, serve::kBundleFormatVersion + 1}) {
+  for (const int version :
+       {1, 2, 3, 4, 5, 6, serve::kBundleFormatVersion + 1}) {
     EXPECT_THROW(
         serve::bundle_from_string(with_header_version(content, version), "t"),
         Error)
@@ -333,7 +334,7 @@ TEST_F(ServeTest, RegistryQuarantinesPreviousVersionBundle) {
   // corrupt-bundle path into quarantine.
   export_named("old");
   const std::string path = bundle_path("old");
-  const std::string old = with_header_version(*read_file(path), 5);
+  const std::string old = with_header_version(*read_file(path), 6);
   std::ofstream(path, std::ios::binary | std::ios::trunc) << old;
   serve::ServerOptions options;
   options.model_dir = dir_.string();
@@ -343,8 +344,8 @@ TEST_F(ServeTest, RegistryQuarantinesPreviousVersionBundle) {
   EXPECT_FALSE(reply.find("ok")->boolean);
   EXPECT_EQ(reply.find("code")->str, "model_unavailable");
   const std::string error = reply.find("error")->str;
-  EXPECT_NE(error.find("format_version 5"), std::string::npos) << error;
-  EXPECT_NE(error.find("bfmodel 6"), std::string::npos) << error;
+  EXPECT_NE(error.find("format_version 6"), std::string::npos) << error;
+  EXPECT_NE(error.find("bfmodel 7"), std::string::npos) << error;
   EXPECT_FALSE(std::filesystem::exists(path));
   EXPECT_TRUE(std::filesystem::exists(path + ".quarantined"));
 }
