@@ -154,7 +154,6 @@ AnalysisReport analyze(const AnalyzerOptions& options) {
       f.file = rel;
       f.line = 0;
       f.rule = "io";
-      f.severity = rule_severity("io");
       f.message = "cannot read file";
       raw.push_back(std::move(f));
       continue;
@@ -197,7 +196,6 @@ AnalysisReport analyze(const AnalyzerOptions& options) {
       f.file = rel;
       f.line = s.first_line;
       f.rule = "unused-suppression";
-      f.severity = rule_severity("unused-suppression");
       f.message = "bf-lint: allow(" + s.rule +
                   ") silences nothing on this line (delete the comment)";
       f.detail = s.rule;

@@ -58,7 +58,6 @@ void apply_baseline(const Baseline& baseline, std::vector<Finding>& findings,
       f.file = baseline.path;
       f.line = e.line;
       f.rule = "baseline-format";
-      f.severity = rule_severity("baseline-format");
       f.message = "baseline entry '" + e.key +
                   "' has no justification (append ' # reason')";
       f.detail = e.key;
@@ -69,7 +68,6 @@ void apply_baseline(const Baseline& baseline, std::vector<Finding>& findings,
       f.file = baseline.path;
       f.line = e.line;
       f.rule = "stale-baseline";
-      f.severity = rule_severity("stale-baseline");
       f.message = "baseline entry '" + e.key +
                   "' matches no current finding (delete the line)";
       f.detail = e.key;

@@ -83,7 +83,6 @@ void capture_escape_pass(const LexedFile& file, const std::string& rel,
         f.file = rel;
         f.line = toks[i].line;
         f.rule = "capture-escape";
-        f.severity = rule_severity("capture-escape");
         f.message =
             std::string("by-reference lambda capture escapes into ") + sink +
             "; the task can outlive the captured frame (capture by value, "
@@ -163,7 +162,6 @@ void analyze_global_stmt(const Toks& stmt, const std::string& rel,
   f.file = rel;
   f.line = stmt.front().line;
   f.rule = "mutable-global";
-  f.severity = rule_severity("mutable-global");
   f.message = "mutable namespace-scope variable '" + name +
               "' is shared state without synchronisation (make it const, "
               "wrap it in a locked accessor, or use std::atomic)";
@@ -410,7 +408,6 @@ void lock_order_pass(const LexedFile& file, const std::string& rel,
     f.file = rel;
     f.line = std::max(line, reverse->second);
     f.rule = "lock-order";
-    f.severity = rule_severity("lock-order");
     f.message = "mutexes '" + a + "' and '" + b +
                 "' are acquired in both orders in this translation unit "
                 "(line " + std::to_string(std::min(line, reverse->second)) +

@@ -7,10 +7,6 @@
 
 namespace bf::sa {
 
-const char* severity_name(Severity s) {
-  return s == Severity::kError ? "error" : "warning";
-}
-
 std::string finding_key(const Finding& f) {
   return f.rule + "|" + f.file + "|" + f.detail;
 }
@@ -48,7 +44,7 @@ std::string render_json(const std::vector<Finding>& findings,
   std::ostringstream os;
   os << "{\n";
   os << "  \"tool\": \"bf_lint\",\n";
-  os << "  \"schema_version\": 1,\n";
+  os << "  \"schema_version\": 2,\n";
   os << "  \"files_scanned\": " << stats.files_scanned << ",\n";
   os << "  \"suppressed\": " << stats.suppressed << ",\n";
   os << "  \"baselined\": " << stats.baselined << ",\n";
@@ -59,7 +55,6 @@ std::string render_json(const std::vector<Finding>& findings,
     os << "    {\"file\": \"" << json_escape(f.file) << "\", "
        << "\"line\": " << f.line << ", "
        << "\"rule\": \"" << json_escape(f.rule) << "\", "
-       << "\"severity\": \"" << severity_name(f.severity) << "\", "
        << "\"key\": \"" << json_escape(finding_key(f)) << "\", "
        << "\"message\": \"" << json_escape(f.message) << "\"}";
   }

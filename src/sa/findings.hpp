@@ -12,15 +12,10 @@
 
 namespace bf::sa {
 
-enum class Severity { kError, kWarning };
-
-const char* severity_name(Severity s);
-
 struct Finding {
   std::string file;     // repo-relative, '/'-separated
   int line = 0;         // 1-based; 0 for whole-file findings
   std::string rule;     // stable rule id, e.g. "layer-dag"
-  Severity severity = Severity::kError;
   std::string message;  // human explanation incl. the fix direction
   std::string detail;   // rule-specific stable discriminator (may be "")
 };

@@ -204,7 +204,6 @@ void find_cycles(const std::map<std::string, std::vector<IncludeEdge>>& graph,
           f.file = e.from;
           f.line = e.line;
           f.rule = "include-cycle";
-          f.severity = rule_severity("include-cycle");
           f.message = "#include cycle: " + key;
           f.detail = key;
           out.push_back(std::move(f));
@@ -236,7 +235,6 @@ void run_include_graph(
         f.file = rel;
         f.line = e.line;
         f.rule = "duplicate-include";
-        f.severity = rule_severity("duplicate-include");
         f.message = "'" + e.spelled + "' is already included above";
         f.detail = e.to;
         out.push_back(std::move(f));
@@ -251,7 +249,6 @@ void run_include_graph(
         f.file = rel;
         f.line = e.line;
         f.rule = "layer-dag";
-        f.severity = rule_severity("layer-dag");
         f.message = "layer '" + from_mod + "' may not include from layer '" +
                     to_mod + "' (" + e.spelled +
                     "); see the layer table in sa/include_graph.cpp";

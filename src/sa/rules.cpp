@@ -10,40 +10,34 @@ namespace {
 // include-graph family, then the concurrency family, then the meta rules the
 // framework itself emits.
 const std::vector<RuleSpec> kRegistry = {
-    {"pragma-once", Severity::kError, "headers must contain #pragma once"},
-    {"raw-new", Severity::kError,
-     "raw new outside RAII (use std::make_unique / containers)"},
-    {"raw-delete", Severity::kError,
-     "raw delete (owning types must use RAII; = delete is fine)"},
-    {"no-rand", Severity::kError,
+    {"pragma-once", "headers must contain #pragma once"},
+    {"raw-new", "raw new outside RAII (use std::make_unique / containers)"},
+    {"raw-delete", "raw delete (owning types must use RAII; = delete is fine)"},
+    {"no-rand",
      "rand()/srand()/drand48()/random_shuffle are unseeded (use bf::Rng)"},
-    {"float-literal", Severity::kError,
+    {"float-literal",
      "float literals (1.0f) in double-precision statistical code"},
-    {"unchecked-parse", Severity::kError,
+    {"unchecked-parse",
      "atof/atoi/stod/... swallow trailing garbage (use bf::parse_double)"},
-    {"atomic-write", Severity::kError,
+    {"atomic-write",
      "direct ofstream in the repository layer tears entries on crash "
      "(use bf::atomic_write_file)"},
-    {"include-cycle", Severity::kError,
-     "#include cycle between project headers"},
-    {"layer-dag", Severity::kError,
-     "#include edge violates the module layer DAG"},
-    {"duplicate-include", Severity::kError,
+    {"include-cycle", "#include cycle between project headers"},
+    {"layer-dag", "#include edge violates the module layer DAG"},
+    {"duplicate-include",
      "the same project header is included twice in one file"},
-    {"capture-escape", Severity::kError,
+    {"capture-escape",
      "by-reference lambda capture escapes into ThreadPool::submit / "
      "std::thread"},
-    {"mutable-global", Severity::kError,
+    {"mutable-global",
      "mutable non-const namespace-scope variable (data race magnet)"},
-    {"lock-order", Severity::kError,
+    {"lock-order",
      "inconsistent lock-acquisition order across a mutex pair in one TU"},
-    {"unused-suppression", Severity::kError,
+    {"unused-suppression",
      "a bf-lint: allow(...) comment that silences nothing"},
-    {"stale-baseline", Severity::kError,
-     "a baseline entry that matches no current finding"},
-    {"baseline-format", Severity::kError,
-     "a baseline entry without a justification comment"},
-    {"io", Severity::kError, "a file under analysis could not be read"},
+    {"stale-baseline", "a baseline entry that matches no current finding"},
+    {"baseline-format", "a baseline entry without a justification comment"},
+    {"io", "a file under analysis could not be read"},
 };
 
 }  // namespace
@@ -55,13 +49,6 @@ bool is_known_rule(const std::string& id) {
     if (id == r.id) return true;
   }
   return false;
-}
-
-Severity rule_severity(const std::string& id) {
-  for (const auto& r : kRegistry) {
-    if (id == r.id) return r.severity;
-  }
-  return Severity::kError;
 }
 
 namespace {
@@ -94,7 +81,6 @@ void run_token_rules(const LexedFile& file, const std::string& rel,
     f.file = rel;
     f.line = line;
     f.rule = rule;
-    f.severity = rule_severity(rule);
     f.message = std::move(message);
     f.detail = std::move(detail);
     out.push_back(std::move(f));

@@ -1,7 +1,7 @@
 // bf::sa rule registry and the token-based per-file rules.
 //
-// Every rule the analyzer can emit is declared here with a stable id,
-// a severity and a one-line summary; drivers use the registry for
+// Every rule the analyzer can emit is declared here with a stable id
+// and a one-line summary; drivers use the registry for
 // --help style listings and the test suite asserts the fixture corpus
 // trips every registered rule. The seven per-file rules inherited from
 // the legacy regex linter run as token-based passes over the shared
@@ -18,7 +18,6 @@ namespace bf::sa {
 
 struct RuleSpec {
   const char* id;
-  Severity severity;
   const char* summary;
 };
 
@@ -27,10 +26,6 @@ const std::vector<RuleSpec>& rule_registry();
 
 /// True if `id` names a registered rule.
 bool is_known_rule(const std::string& id);
-
-/// Severity for a rule id (kError when unknown — unknown ids cannot be
-/// emitted, but the lookup must totalise).
-Severity rule_severity(const std::string& id);
 
 /// Run the per-file token rules (the migrated legacy seven) over one
 /// lexed file, appending raw findings (suppressions/baseline are

@@ -27,7 +27,7 @@ rc=0
 [ -s "$JSON" ] || { echo "JSON output file is empty"; exit 1; }
 
 # Structural fields of the document.
-for field in '"tool": "bf_lint"' '"schema_version": 1' '"files_scanned"' \
+for field in '"tool": "bf_lint"' '"schema_version": 2' '"files_scanned"' \
              '"suppressed"' '"baselined"' '"findings"'; do
   grep -q "$field" "$JSON" || { echo "missing field: $field"; exit 1; }
 done
@@ -41,9 +41,9 @@ for rule in pragma-once raw-new raw-delete no-rand float-literal \
     echo "seeded rule missing from JSON: $rule"; exit 1; }
 done
 
-# Every finding carries file/line/severity/key/message.
+# Every finding carries file/line/key/message.
 findings=$(grep -c '"rule": ' "$JSON")
-for field in '"file": ' '"line": ' '"severity": ' '"key": ' '"message": '; do
+for field in '"file": ' '"line": ' '"key": ' '"message": '; do
   n=$(grep -c "$field" "$JSON")
   [ "$n" -eq "$findings" ] || {
     echo "field $field on $n of $findings findings"; exit 1; }
@@ -59,11 +59,10 @@ if command -v python3 > /dev/null 2>&1; then
   python3 - "$JSON" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["tool"] == "bf_lint" and doc["schema_version"] == 1
+assert doc["tool"] == "bf_lint" and doc["schema_version"] == 2
 assert doc["files_scanned"] > 0 and len(doc["findings"]) > 0
 for f in doc["findings"]:
-    assert set(f) == {"file", "line", "rule", "severity", "key", "message"}
-    assert f["severity"] in ("error", "warning")
+    assert set(f) == {"file", "line", "rule", "key", "message"}
     assert f["key"].startswith(f["rule"] + "|" + f["file"] + "|")
 EOF
 fi

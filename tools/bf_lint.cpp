@@ -43,8 +43,7 @@ int usage() {
 
 int list_rules() {
   for (const auto& r : bf::sa::rule_registry()) {
-    std::printf("%-18s %-7s %s\n", r.id, bf::sa::severity_name(r.severity),
-                r.summary);
+    std::printf("%-18s %s\n", r.id, r.summary);
   }
   return 0;
 }
