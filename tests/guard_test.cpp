@@ -414,7 +414,7 @@ TEST(CounterModelChain, LoadRejectsAChainModelItDoesNotHold) {
       (void)core::CounterModels::load(is);
       ADD_FAILURE() << "loaded:\n" << text;
     } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("chain for flops"),
+      EXPECT_NE(std::string(e.what()).find("chain for flops names "),
                 std::string::npos)
           << e.what();
     }
