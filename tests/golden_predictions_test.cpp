@@ -9,9 +9,14 @@
 // every demotion, clamp and extrapolation flag those guarded predictions
 // carry, and every counter model's quality record and the output of each
 // model in its fallback chain (the time and power predictors', in memory
-// and after the round trip). Every double is hashed as its IEEE-754 bit
-// pattern, so a refactor of the inference, guard or serialisation code
-// must leave this table untouched.
+// and after the round trip). It also pins the saved text of the full and
+// reduced forests (every threshold and leaf), the bottleneck report of
+// the full model, one case's partial dependence under an armed
+// ml.forest.nan_feature point with the point's draw counts, and a
+// gtx580 -> k20m hardware-scaling prediction of needle and matrixMul.
+// Every double is hashed as its IEEE-754 bit pattern, so a refactor of
+// the training, inference, guard or serialisation code must leave this
+// table untouched.
 //
 // The table lives in tests/data/golden_predictions.txt. When a
 // deliberate model change moves predictions, the failure message prints
@@ -26,10 +31,13 @@
 #include <filesystem>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/fault.hpp"
 #include "common/io.hpp"
+#include "core/bottleneck.hpp"
 #include "core/predictor.hpp"
 #include "golden_table.hpp"
 #include "gpusim/arch.hpp"
@@ -46,16 +54,17 @@ struct Case {
   const char* arch;
   std::vector<double> sizes;
   bool power;
+  bool armed_pd;  ///< also hash PD under an armed ml.forest.nan_feature
 };
 
 std::vector<Case> golden_cases() {
   const auto rsizes = profiling::log2_sizes(1 << 14, 1 << 20, 10, 256);
   const auto msizes = profiling::log2_sizes(32, 256, 10, 16);
   const auto nsizes = profiling::log2_sizes(64, 512, 10, 16);
-  return {{"reduce1", "gtx580", rsizes, true},
-          {"matrixMul", "gtx580", msizes, false},
-          {"needle", "gtx580", nsizes, false},
-          {"needle", "k20m", nsizes, false}};
+  return {{"reduce1", "gtx580", rsizes, true, false},
+          {"matrixMul", "gtx580", msizes, false, false},
+          {"needle", "gtx580", nsizes, false, true},
+          {"needle", "k20m", nsizes, false, false}};
 }
 
 /// Accumulates IEEE bit patterns (and small integers) into one text that
@@ -177,6 +186,78 @@ std::string power_digest(const power::PowerPredictor& pw,
   return d.hex();
 }
 
+/// The saved text of the full and reduced forests: every split feature,
+/// threshold and leaf value of every tree.
+std::string forest_digest(const core::ProblemScalingPredictor& p) {
+  std::ostringstream os;
+  p.full_model().flat().save(os);
+  p.reduced_model().flat().save(os);
+  return to_hex64(fnv1a64(os.str()));
+}
+
+/// Every finding of the full model's bottleneck report and the ranked
+/// patterns.
+std::string bottleneck_digest(const core::BlackForestModel& model,
+                              const Case& c) {
+  const core::BottleneckReport report =
+      core::analyze_bottlenecks(model, c.workload, c.arch);
+  Digest d;
+  for (const core::BottleneckFinding& f : report.findings) {
+    d.str(f.counter).num(f.importance).num(f.correlation);
+    d.num(f.dependence_trend).str(core::pattern_name(f.pattern)).end_row();
+  }
+  for (const auto& [pattern, mass] : report.ranked_patterns) {
+    d.str(core::pattern_name(pattern)).num(mass).end_row();
+  }
+  return d.hex();
+}
+
+/// The top-3 partial-dependence curves with ml.forest.nan_feature armed at
+/// a fixed seed, and how often the point was evaluated and fired.
+std::string armed_pd_digest(const core::BlackForestModel& model) {
+  const fault::ScopedFaults faults(
+      std::string(fault::points::kForestNanFeature) + ":0.3", 5);
+  Digest d;
+  for (const auto& name : model.top_variables(3)) {
+    d.str(name);
+    for (const auto& pt : model.partial_dependence(name, 25)) {
+      d.num(pt.x).num(pt.y);
+    }
+    d.end_row();
+  }
+  const fault::PointStats st = fault::stats(fault::points::kForestNanFeature);
+  d.count(st.evaluated).count(st.fired);
+  return d.hex();
+}
+
+/// A gtx580 -> k20m hardware-scaling prediction from sweeps with machine
+/// characteristics: the similarity, the mixed flag, both top lists, the
+/// variables used, the predictions and every guard record. The
+/// two-valued machine columns give the forests many tied split values.
+std::string hw_digest(const char* workload, const std::vector<double>& sizes) {
+  profiling::SweepOptions so;
+  so.machine_characteristics = true;
+  const auto sweep_on = [&](const char* arch) {
+    return profiling::sweep(profiling::workload_by_name(workload),
+                            gpusim::Device(gpusim::arch_by_name(arch)), sizes,
+                            so);
+  };
+  core::HardwareScalingOptions hopts;
+  hopts.model.forest.n_trees = 60;
+  const core::HardwareScalingResult r = core::HardwareScalingPredictor::predict(
+      sweep_on("gtx580"), sweep_on("k20m"), hopts);
+  Digest d;
+  d.num(r.similarity).count(r.used_mixed_variables ? 1 : 0).end_row();
+  for (const auto* list : {&r.source_top, &r.target_top, &r.variables}) {
+    for (const auto& name : *list) d.str(name);
+    d.end_row();
+  }
+  for (const double v : r.series.predicted_ms) d.num(v);
+  d.end_row();
+  for (const auto& rec : r.series.guard.predictions) add_guarded(d, rec);
+  return d.hex();
+}
+
 /// "workload arch item" -> digest rows for one case.
 void compute_case(const Case& c, const std::filesystem::path& dir,
                   std::map<std::string, std::string>& out) {
@@ -231,6 +312,9 @@ void compute_case(const Case& c, const std::filesystem::path& dir,
     out[key + "pd"] = pd.hex();
     out[key + "pd_interval"] = pdi.hex();
   }
+  out[key + "forest"] = forest_digest(psp);
+  out[key + "bottleneck"] = bottleneck_digest(model, c);
+  if (c.armed_pd) out[key + "pd_armed"] = armed_pd_digest(model);
 
   const std::string path =
       (dir / (std::string(c.workload) + '_' + c.arch + serve::kBundleSuffix))
@@ -273,6 +357,10 @@ TEST(GoldenPredictions, EveryCaseMatchesTable) {
   std::map<std::string, std::string> got;
   for (const Case& c : golden_cases()) compute_case(c, dir, got);
   std::filesystem::remove_all(dir);
+  got["needle gtx580-k20m hw"] =
+      hw_digest("needle", profiling::log2_sizes(64, 2048, 24, 16));
+  got["matrixMul gtx580-k20m hw"] =
+      hw_digest("matrixMul", profiling::log2_sizes(32, 512, 20, 16));
 
   expect_golden_table(BF_GOLDEN_PREDICTIONS, {got.begin(), got.end()});
 }
