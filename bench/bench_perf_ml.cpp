@@ -21,7 +21,13 @@ struct Problem {
   std::vector<std::string> names;
 };
 
-Problem make_problem(std::size_t n, std::size_t p) {
+/// n rows of p counters. The last p - two_valued columns are uniform and
+/// the response follows the first three of them; the first `two_valued`
+/// columns take one value on the first half of the rows and another on the
+/// rest, like the machine characteristics of a two-GPU hardware-scaling
+/// training set, and shift the response between the halves.
+Problem make_problem(std::size_t n, std::size_t p,
+                     std::size_t two_valued = 0) {
   Rng rng(1234);
   Problem prob{linalg::Matrix(n, p), std::vector<double>(n),
                std::vector<std::string>(p)};
@@ -29,19 +35,26 @@ Problem make_problem(std::size_t n, std::size_t p) {
     prob.names[j] = "c" + std::to_string(j);
   }
   for (std::size_t i = 0; i < n; ++i) {
-    double acc = 0.0;
+    const bool second = 2 * i >= n;
+    double acc = second && two_valued > 0 ? 50.0 : 0.0;
     for (std::size_t j = 0; j < p; ++j) {
+      if (j < two_valued) {
+        prob.x(i, j) = static_cast<double>(j + 1) * (second ? 2.0 : 1.0);
+        continue;
+      }
       prob.x(i, j) = rng.uniform(0, 100);
-      if (j < 3) acc += prob.x(i, j);
+      if (j < two_valued + 3) acc += prob.x(i, j);
     }
     prob.y[i] = acc + rng.normal(0.0, 2.0);
   }
   return prob;
 }
 
+// Trees grow on the shared pool, so the timings are wall time.
 void BM_ForestFit(benchmark::State& state) {
   const auto prob = make_problem(static_cast<std::size_t>(state.range(0)),
-                                 30);
+                                 static_cast<std::size_t>(state.range(2)),
+                                 static_cast<std::size_t>(state.range(3)));
   ml::ForestParams params;
   params.n_trees = static_cast<std::size_t>(state.range(1));
   params.importance = true;
@@ -52,11 +65,16 @@ void BM_ForestFit(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(1));
 }
+// {rows, trees, columns, two-valued columns}; the last case is the
+// hardware-scaling fit of a needle analysis: both GPUs' rows, 40
+// predictors of which 8 are machine characteristics.
 BENCHMARK(BM_ForestFit)
-    ->Args({50, 100})
-    ->Args({100, 100})
-    ->Args({100, 500})
-    ->Args({400, 500})
+    ->Args({50, 100, 30, 0})
+    ->Args({100, 100, 30, 0})
+    ->Args({100, 500, 30, 0})
+    ->Args({400, 500, 30, 0})
+    ->Args({43, 500, 40, 8})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_ForestPredict(benchmark::State& state) {
@@ -85,7 +103,8 @@ void BM_PartialDependence(benchmark::State& state) {
     benchmark::DoNotOptimize(flat.partial_dependence(prob.x, "c0", 25));
   }
 }
-BENCHMARK(BM_PartialDependence)->Unit(benchmark::kMillisecond);
+// Grid points run on the shared pool: wall time.
+BENCHMARK(BM_PartialDependence)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_PcaFit(benchmark::State& state) {
   const auto prob = make_problem(static_cast<std::size_t>(state.range(0)),

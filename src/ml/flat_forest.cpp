@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/io.hpp"
+#include "common/thread_pool.hpp"
 
 namespace bf::ml {
 namespace {
@@ -192,13 +193,13 @@ FlatForest FlatForest::freeze(const RandomForest& forest) {
   return out;
 }
 
-const double* FlatForest::sanitize_row(const double* row,
-                                       double* buffer) const {
+const double* FlatForest::sanitize_row(const double* row, double* buffer,
+                                       bool corrupt) const {
   const std::size_t p = feature_medians_.size();
   // Injected corruption: one feature becomes NaN before the trees see
   // it, exercising the same repair path real dropped counters take.
-  if (fault::should_fire(fault::points::kForestNanFeature)) {
-    std::copy(row, row + p, buffer);
+  if (corrupt) {
+    if (row != buffer) std::copy(row, row + p, buffer);
     buffer[0] = std::numeric_limits<double>::quiet_NaN();
     row = buffer;
   }
@@ -296,7 +297,8 @@ double FlatForest::predict_row(const double* row,
   const std::size_t nt = roots_.size();
   scratch.repaired.resize(feature_medians_.size());
   scratch.tree_values.resize(nt);
-  row = sanitize_row(row, scratch.repaired.data());
+  row = sanitize_row(row, scratch.repaired.data(),
+                     fault::should_fire(fault::points::kForestNanFeature));
   tree_leaf_values(row, scratch.tree_values.data(), scratch);
   double acc = 0.0;
   for (std::size_t t = 0; t < nt; ++t) acc += scratch.tree_values[t];
@@ -313,10 +315,8 @@ void FlatForest::predict(const linalg::Matrix& x, std::vector<double>& out,
   BF_CHECK_MSG(fitted(), "predict on unfitted flat forest");
   BF_CHECK_MSG(x.cols() == feature_names_.size(),
                "prediction matrix has wrong number of columns");
-  const std::size_t nt = roots_.size();
   const std::size_t p = feature_medians_.size();
   const std::size_t n_rows = x.rows();
-  out.assign(n_rows, 0.0);
 
   // Sanitize every row exactly once, up front (same per-row fault and
   // repair order as predict_row), into one contiguous row-major block
@@ -324,9 +324,20 @@ void FlatForest::predict(const linalg::Matrix& x, std::vector<double>& out,
   scratch.repaired.resize(n_rows * p);
   for (std::size_t r = 0; r < n_rows; ++r) {
     double* buf = scratch.repaired.data() + r * p;
-    const double* s = sanitize_row(x.row_ptr(r), buf);
+    const double* s =
+        sanitize_row(x.row_ptr(r), buf,
+                     fault::should_fire(fault::points::kForestNanFeature));
     if (s != buf) std::copy(s, s + p, buf);
   }
+  out.resize(n_rows);
+  predict_block(scratch.repaired.data(), n_rows, out.data());
+}
+
+void FlatForest::predict_block(const double* rows, std::size_t n_rows,
+                               double* out) const {
+  const std::size_t nt = roots_.size();
+  const std::size_t p = feature_medians_.size();
+  std::fill(out, out + n_rows, 0.0);
 
   // Freeze lays trees out consecutively, so a tree range is one
   // contiguous node span; a tile groups trees until that span outgrows
@@ -345,8 +356,7 @@ void FlatForest::predict(const linalg::Matrix& x, std::vector<double>& out,
     }
     for (std::size_t r0 = 0; r0 < n_rows; r0 += kRowBlock) {
       const std::size_t n = std::min(kRowBlock, n_rows - r0);
-      accumulate_block(scratch.repaired.data() + r0 * p, p, n, t0, t1,
-                       out.data() + r0);
+      accumulate_block(rows + r0 * p, p, n, t0, t1, out + r0);
     }
     t0 = t1;
   }
@@ -369,7 +379,8 @@ PredictionInterval FlatForest::predict_interval(const double* row,
   const std::size_t nt = roots_.size();
   scratch.repaired.resize(feature_medians_.size());
   scratch.tree_values.resize(nt);
-  row = sanitize_row(row, scratch.repaired.data());
+  row = sanitize_row(row, scratch.repaired.data(),
+                     fault::should_fire(fault::points::kForestNanFeature));
   tree_leaf_values(row, scratch.tree_values.data(), scratch);
   std::vector<double>& preds = scratch.tree_values;
   // Sum before selecting the band: the mean is built in tree order, like
@@ -417,21 +428,36 @@ std::vector<PartialDependencePoint> FlatForest::partial_dependence(
     std::size_t grid_points) const {
   const std::size_t f = pd_feature(rows, feature, grid_points);
   const std::size_t n = rows.rows();
+  const std::size_t p = rows.cols();
   const auto [lo, hi] = column_range(rows, f);
 
+  // Every clamped row is sanitized, so the fault point is drawn once per
+  // row per grid point. The draws are made here, in (grid, row) order,
+  // before the grid points fan out over the pool: an armed run corrupts
+  // the same rows however the points are scheduled.
+  std::vector<char> corrupt(grid_points * n);
+  for (char& c : corrupt) {
+    c = fault::should_fire(fault::points::kForestNanFeature) ? 1 : 0;
+  }
+
   std::vector<PartialDependencePoint> curve(grid_points);
-  linalg::Matrix clamped = rows;
-  std::vector<double> pred;
-  ForestScratch scratch;
-  for (std::size_t g = 0; g < grid_points; ++g) {
+  ThreadPool::global().parallel_for(0, grid_points, [&](std::size_t g) {
     const double v = grid_value(lo, hi, g, grid_points);
-    for (std::size_t r = 0; r < n; ++r) clamped(r, f) = v;
-    predict(clamped, pred, scratch);
+    std::vector<double> clamped(n * p);
+    for (std::size_t r = 0; r < n; ++r) {
+      double* row = clamped.data() + r * p;
+      const double* src = rows.row_ptr(r);
+      std::copy(src, src + p, row);
+      row[f] = v;
+      sanitize_row(row, row, corrupt[g * n + r] != 0);
+    }
+    std::vector<double> pred(n);
+    predict_block(clamped.data(), n, pred.data());
     double acc = 0.0;
     for (const double y : pred) acc += y;
     curve[g].x = v;
     curve[g].y = acc / static_cast<double>(n);
-  }
+  });
   return curve;
 }
 
@@ -445,17 +471,16 @@ std::vector<PartialDependenceInterval> FlatForest::partial_dependence_interval(
   const auto [lo, hi] = column_range(rows, f);
 
   std::vector<PartialDependenceInterval> curve(grid_points);
-  std::vector<double> row(p);
-  std::vector<double> leaf(nt);
-  std::vector<double> per_tree(nt);
-  ForestScratch scratch;
-  for (std::size_t g = 0; g < grid_points; ++g) {
+  ThreadPool::global().parallel_for(0, grid_points, [&](std::size_t g) {
     const double v = grid_value(lo, hi, g, grid_points);
     // Per tree: the average leaf value over the rows with the feature
     // clamped (the fitted rows are finite, so they walk unrepaired); the
     // band is over trees, matching how bagging variance is usually
     // visualised.
-    std::fill(per_tree.begin(), per_tree.end(), 0.0);
+    ForestScratch scratch;
+    std::vector<double> row(p);
+    std::vector<double> leaf(nt);
+    std::vector<double> per_tree(nt, 0.0);
     for (std::size_t r = 0; r < n; ++r) {
       const double* src = rows.row_ptr(r);
       std::copy(src, src + p, row.begin());
@@ -471,7 +496,7 @@ std::vector<PartialDependenceInterval> FlatForest::partial_dependence_interval(
     curve[g].x = v;
     curve[g].y = quantile_band(per_tree, mean / static_cast<double>(nt),
                                alpha, scratch.band);
-  }
+  });
   return curve;
 }
 

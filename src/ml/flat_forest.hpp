@@ -139,7 +139,9 @@ class FlatForest {
   /// Partial dependence of the response on `feature` (paper §4.1.1):
   /// over `grid_points` values spanning the feature's range in `rows`,
   /// the average prediction over `rows` with the feature clamped to each
-  /// value. Callers pass the matrix the forest was fitted on.
+  /// value. Callers pass the matrix the forest was fitted on. Grid points
+  /// run on the shared pool; the fault point of each clamped row is drawn
+  /// before they fan out, in (grid point, row) order.
   std::vector<PartialDependencePoint> partial_dependence(
       const linalg::Matrix& rows, const std::string& feature,
       std::size_t grid_points = 25) const;
@@ -147,7 +149,8 @@ class FlatForest {
   /// Partial dependence with a per-grid-point band (the paper's §7
   /// "confidence intervals in the partial dependence plots"): per tree,
   /// the average leaf value over the clamped rows; the band is the
-  /// quantiles of those per-tree averages.
+  /// quantiles of those per-tree averages. Grid points run on the shared
+  /// pool.
   std::vector<PartialDependenceInterval> partial_dependence_interval(
       const linalg::Matrix& rows, const std::string& feature,
       std::size_t grid_points = 25, double alpha = 0.1) const;
@@ -169,11 +172,14 @@ class FlatForest {
   static FlatForest load(std::istream& is);
 
  private:
-  /// Repair a query row: replaces non-finite features (and the feature
-  /// corrupted by an armed ml.forest.nan_feature point) with training
-  /// medians, into a raw buffer of feature-count capacity. Returns the
-  /// row to predict from (`row` itself when clean).
-  const double* sanitize_row(const double* row, double* buffer) const;
+  /// Repair a query row: replaces non-finite features (and, when
+  /// `corrupt` is set, feature 0, as an armed ml.forest.nan_feature point
+  /// corrupts it) with training medians, into a raw buffer of
+  /// feature-count capacity, which may be `row` itself. Returns the row to
+  /// predict from (`row` itself when clean). Callers draw `corrupt` from
+  /// the fault point, once per sanitized row.
+  const double* sanitize_row(const double* row, double* buffer,
+                             bool corrupt) const;
 
   /// Column index of `feature`, after checking the shared preconditions
   /// of the partial-dependence queries.
@@ -185,6 +191,11 @@ class FlatForest {
   /// one compacted walk list (scratch provides the lane state).
   void tree_leaf_values(const double* row, double* out,
                         ForestScratch& scratch) const;
+  /// Forest means of `n_rows` sanitized rows (row-major, one feature
+  /// vector each) into out[0, n_rows): the tiled block kernel behind the
+  /// batched predict.
+  void predict_block(const double* rows, std::size_t n_rows,
+                     double* out) const;
   /// Walk trees [t0, t1) for `n` sanitized rows (row-major, stride `p`)
   /// and add each tree's leaf value into acc[k], in tree order.
   void accumulate_block(const double* rows, std::size_t p, std::size_t n,

@@ -16,10 +16,22 @@ namespace {
 struct TreeFitResult {
   RegressionTree tree;
   std::vector<std::size_t> oob_rows;
-  // OOB MSE increase per permuted feature, and the baseline OOB MSE.
+  // The tree's prediction for each OOB row, in oob_rows order.
+  std::vector<double> oob_pred;
+  // OOB MSE increase per permuted feature.
   std::vector<double> perm_increase;
-  double oob_mse = 0.0;
 };
+
+/// Which of the `p` features a split of `tree` tests.
+std::vector<bool> split_features(const RegressionTree& tree, std::size_t p) {
+  std::vector<bool> tested(p, false);
+  for (std::size_t i = 0; i < tree.node_count(); ++i) {
+    const RegressionTree::NodeView node =
+        tree.node_view(static_cast<std::int32_t>(i));
+    if (node.left != -1) tested[static_cast<std::size_t>(node.feature)] = true;
+  }
+  return tested;
+}
 
 TreeFitResult fit_one_tree(const linalg::Matrix& x,
                            const std::vector<double>& y,
@@ -38,39 +50,50 @@ TreeFitResult fit_one_tree(const linalg::Matrix& x,
 
   out.tree.fit(x, y, sample, tree_params, rng);
 
-  if (!importance || out.oob_rows.empty()) return out;
+  const std::size_t n_oob = out.oob_rows.size();
+  out.oob_pred.reserve(n_oob);
+  for (std::size_t r : out.oob_rows) {
+    out.oob_pred.push_back(out.tree.predict_row(x.row_ptr(r)));
+  }
+  if (!importance || n_oob == 0) return out;
 
   // Baseline OOB error for this tree.
   std::vector<double> oob_true;
-  std::vector<double> oob_pred;
-  oob_true.reserve(out.oob_rows.size());
-  oob_pred.reserve(out.oob_rows.size());
-  for (std::size_t r : out.oob_rows) {
-    oob_true.push_back(y[r]);
-    oob_pred.push_back(out.tree.predict_row(x.row_ptr(r)));
-  }
-  out.oob_mse = mse(oob_true, oob_pred);
+  oob_true.reserve(n_oob);
+  for (std::size_t r : out.oob_rows) oob_true.push_back(y[r]);
+  const double oob_mse = mse(oob_true, out.oob_pred);
 
-  // Permute each feature among the OOB rows and re-measure.
+  // Permute each feature among the OOB rows and re-measure, walking a
+  // once-copied block of the OOB rows with the donor value patched in at
+  // the feature. A feature no split tests cannot move a prediction: its
+  // permuted MSE is the baseline bit for bit (the same subtractions in the
+  // same order over the same divisor), so its walks are skipped. Its
+  // shuffle is still drawn, so later features get the same permutations.
+  const std::vector<bool> tested = split_features(out.tree, p);
+  std::vector<double> block(n_oob * p);
+  for (std::size_t i = 0; i < n_oob; ++i) {
+    const double* src = x.row_ptr(out.oob_rows[i]);
+    std::copy(src, src + p, block.data() + i * p);
+  }
   out.perm_increase.assign(p, 0.0);
-  std::vector<double> row(p);
-  std::vector<std::size_t> perm(out.oob_rows.size());
+  std::vector<std::size_t> perm(n_oob);
   for (std::size_t f = 0; f < p; ++f) {
     std::iota(perm.begin(), perm.end(), std::size_t{0});
     rng.shuffle(perm);
-    double acc = 0.0;
-    for (std::size_t i = 0; i < out.oob_rows.size(); ++i) {
-      const std::size_t r = out.oob_rows[i];
-      const std::size_t donor = out.oob_rows[perm[i]];
-      const double* src = x.row_ptr(r);
-      std::copy(src, src + p, row.begin());
-      row[f] = x(donor, f);
-      const double d = y[r] - out.tree.predict_row(row.data());
-      acc += d * d;
+    double permuted_mse = oob_mse;
+    if (tested[f]) {
+      double acc = 0.0;
+      for (std::size_t i = 0; i < n_oob; ++i) {
+        double* row = block.data() + i * p;
+        const double own = row[f];
+        row[f] = x(out.oob_rows[perm[i]], f);
+        const double d = y[out.oob_rows[i]] - out.tree.predict_row(row);
+        row[f] = own;
+        acc += d * d;
+      }
+      permuted_mse = acc / static_cast<double>(n_oob);
     }
-    const double permuted_mse =
-        acc / static_cast<double>(out.oob_rows.size());
-    out.perm_increase[f] = permuted_mse - out.oob_mse;
+    out.perm_increase[f] = permuted_mse - oob_mse;
   }
   return out;
 }
@@ -104,6 +127,18 @@ void RandomForest::fit(const linalg::Matrix& x, const std::vector<double>& y,
 
   const std::size_t n = x.rows();
   const std::size_t p = x.cols();
+  // The split search orders rows by value and the OOB error sums squared
+  // residuals: a NaN or infinite cell has no place in either.
+  for (std::size_t r = 0; r < n; ++r) {
+    BF_CHECK_MSG(std::isfinite(y[r]),
+                 "non-finite response " << y[r] << " at row " << r);
+    for (std::size_t f = 0; f < p; ++f) {
+      BF_CHECK_MSG(std::isfinite(x(r, f)), "non-finite value "
+                                               << x(r, f) << " of feature "
+                                               << feature_names[f]
+                                               << " at row " << r);
+    }
+  }
   feature_names_ = std::move(feature_names);
   has_importance_ = params.importance;
 
@@ -139,9 +174,9 @@ void RandomForest::fit(const linalg::Matrix& x, const std::vector<double>& y,
   std::size_t imp_trees = 0;
 
   for (auto& res : results) {
-    for (std::size_t r : res.oob_rows) {
-      oob_sum[r] += res.tree.predict_row(x.row_ptr(r));
-      oob_count[r] += 1;
+    for (std::size_t i = 0; i < res.oob_rows.size(); ++i) {
+      oob_sum[res.oob_rows[i]] += res.oob_pred[i];
+      oob_count[res.oob_rows[i]] += 1;
     }
     if (!res.perm_increase.empty()) {
       for (std::size_t f = 0; f < p; ++f) {

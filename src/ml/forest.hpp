@@ -47,7 +47,8 @@ struct VariableImportance {
 class RandomForest {
  public:
   /// Fit the forest. Feature names are kept for reporting; pass one name
-  /// per column of x.
+  /// per column of x. Throws bf::Error naming the column and row of the
+  /// first NaN or infinite cell of x or y.
   void fit(const linalg::Matrix& x, const std::vector<double>& y,
            std::vector<std::string> feature_names, const ForestParams& params);
 

@@ -17,35 +17,46 @@ struct SplitCandidate {
   double sse_after = 0.0;  // combined SSE of the two children
 };
 
-// Best split of rows[begin,end) on one feature, by sorting the node's rows
-// on that feature and scanning the prefix sums (classic CART scan).
-SplitCandidate best_split_on_feature(const linalg::Matrix& x,
-                                     const std::vector<double>& y,
-                                     const std::vector<std::size_t>& rows,
-                                     std::size_t begin, std::size_t end,
-                                     std::size_t feature,
-                                     std::size_t min_node_size,
-                                     std::vector<std::size_t>& scratch) {
+// Best split of rows[begin,end) on one feature (classic CART scan). The
+// node's (feature value, response) pairs are gathered into `pairs` and
+// sorted on the value alone with `<`: std::sort then makes the comparisons
+// and moves an index sort on the same keys would, so ties keep that order
+// and the prefix sums below are built in it. A feature constant over the
+// node has no boundary between distinct values and returns no candidate.
+SplitCandidate best_split_on_feature(
+    const linalg::Matrix& x, const std::vector<double>& y,
+    const std::vector<std::size_t>& rows, std::size_t begin, std::size_t end,
+    std::size_t feature, std::size_t min_node_size,
+    std::vector<std::pair<double, double>>& pairs) {
   const std::size_t n = end - begin;
-  scratch.assign(rows.begin() + static_cast<std::ptrdiff_t>(begin),
-                 rows.begin() + static_cast<std::ptrdiff_t>(end));
-  std::sort(scratch.begin(), scratch.end(),
-            [&](std::size_t a, std::size_t b) {
-              return x(a, feature) < x(b, feature);
+  const std::size_t stride = x.cols();
+  const double* const col = x.row_ptr(0) + feature;
+  pairs.resize(n);
+  bool constant = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t r = rows[begin + i];
+    pairs[i] = {col[r * stride], y[r]};
+    constant = constant && pairs[i].first == pairs[0].first;
+  }
+  SplitCandidate best;
+  if (constant) return best;
+  std::sort(pairs.begin(), pairs.end(),
+            [](const std::pair<double, double>& a,
+               const std::pair<double, double>& b) {
+              return a.first < b.first;
             });
 
   double total_sum = 0.0;
-  for (std::size_t r : scratch) total_sum += y[r];
+  for (const auto& pr : pairs) total_sum += pr.second;
 
-  SplitCandidate best;
   double left_sum = 0.0;
   for (std::size_t i = 0; i + 1 < n; ++i) {
-    left_sum += y[scratch[i]];
+    left_sum += pairs[i].second;
     const std::size_t n_left = i + 1;
     const std::size_t n_right = n - n_left;
     // Can only split between distinct feature values.
-    const double v_here = x(scratch[i], feature);
-    const double v_next = x(scratch[i + 1], feature);
+    const double v_here = pairs[i].first;
+    const double v_next = pairs[i + 1].first;
     if (v_here == v_next) continue;
     if (n_left < min_node_size || n_right < min_node_size) continue;
 
@@ -88,7 +99,8 @@ void RegressionTree::fit(const linalg::Matrix& x, const std::vector<double>& y,
   BF_CHECK_MSG(x.cols() > 0, "no features");
   nodes_.clear();
   std::vector<std::size_t> rows = sample;
-  build_node(x, y, rows, 0, rows.size(), 0, params, rng);
+  std::vector<std::pair<double, double>> pairs;
+  build_node(x, y, rows, 0, rows.size(), 0, params, rng, pairs);
 }
 
 void RegressionTree::fit(const linalg::Matrix& x, const std::vector<double>& y,
@@ -101,7 +113,8 @@ void RegressionTree::fit(const linalg::Matrix& x, const std::vector<double>& y,
 std::int32_t RegressionTree::build_node(
     const linalg::Matrix& x, const std::vector<double>& y,
     std::vector<std::size_t>& rows, std::size_t begin, std::size_t end,
-    std::size_t depth, const TreeParams& params, Rng& rng) {
+    std::size_t depth, const TreeParams& params, Rng& rng,
+    std::vector<std::pair<double, double>>& pairs) {
   const std::size_t n = end - begin;
   const std::int32_t node_id = static_cast<std::int32_t>(nodes_.size());
   nodes_.emplace_back();
@@ -126,10 +139,9 @@ std::int32_t RegressionTree::build_node(
   }
 
   SplitCandidate best;
-  std::vector<std::size_t> scratch;
   for (std::size_t f : features) {
     const SplitCandidate cand = best_split_on_feature(
-        x, y, rows, begin, end, f, params.min_node_size, scratch);
+        x, y, rows, begin, end, f, params.min_node_size, pairs);
     if (cand.valid && (!best.valid || cand.sse_after > best.sse_after)) {
       best = cand;
     }
@@ -159,9 +171,9 @@ std::int32_t RegressionTree::build_node(
   nodes_[node_id].feature = static_cast<std::int32_t>(best.feature);
   nodes_[node_id].threshold = best.threshold;
   const std::int32_t left =
-      build_node(x, y, rows, begin, mid, depth + 1, params, rng);
+      build_node(x, y, rows, begin, mid, depth + 1, params, rng, pairs);
   const std::int32_t right =
-      build_node(x, y, rows, mid, end, depth + 1, params, rng);
+      build_node(x, y, rows, mid, end, depth + 1, params, rng, pairs);
   nodes_[node_id].left = left;
   nodes_[node_id].right = right;
   return node_id;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -77,11 +78,14 @@ class RegressionTree {
     double sse_decrease = 0.0;
   };
 
+  /// `pairs` is the fit's one split-search buffer: (feature value,
+  /// response) of the node's rows.
   std::int32_t build_node(const linalg::Matrix& x,
                           const std::vector<double>& y,
                           std::vector<std::size_t>& rows, std::size_t begin,
                           std::size_t end, std::size_t depth,
-                          const TreeParams& params, Rng& rng);
+                          const TreeParams& params, Rng& rng,
+                          std::vector<std::pair<double, double>>& pairs);
 
   std::vector<Node> nodes_;
 };

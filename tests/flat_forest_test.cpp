@@ -254,6 +254,63 @@ TEST(FlatForest, PartialDependenceMatchesReference) {
                Error);
 }
 
+TEST(FlatForest, ArmedPartialDependenceDrawsInRowOrder) {
+  // PD runs its grid points on the pool, but an armed
+  // ml.forest.nan_feature point must corrupt the rows a serial
+  // (grid, row) loop corrupts: the curve and the point's draw counts
+  // equal the reference that draws for each clamped row in that order.
+  const auto data = make_synthetic(40, 21);
+  ForestParams p;
+  p.n_trees = 30;
+  p.seed = 21;
+  p.importance = false;
+  RandomForest rf;
+  rf.fit(data.x, data.y, kNames, p);
+  const auto flat = FlatForest::freeze(rf);
+  const std::string spec =
+      std::string(fault::points::kForestNanFeature) + ":0.3";
+  const std::size_t n = data.x.rows();
+  const std::size_t grid = 9;
+  for (const std::size_t f : {std::size_t{0}, std::size_t{2}}) {
+    std::vector<PartialDependencePoint> got;
+    fault::PointStats got_stats;
+    {
+      const fault::ScopedFaults faults(spec, 11);
+      got = flat.partial_dependence(data.x, kNames[f], grid);
+      got_stats = fault::stats(fault::points::kForestNanFeature);
+    }
+    const fault::ScopedFaults faults(spec, 11);
+    double lo = data.x(0, f);
+    double hi = lo;
+    for (std::size_t r = 0; r < n; ++r) {
+      lo = std::min(lo, data.x(r, f));
+      hi = std::max(hi, data.x(r, f));
+    }
+    ASSERT_EQ(got.size(), grid);
+    for (std::size_t g = 0; g < grid; ++g) {
+      const double v = lo + (hi - lo) * static_cast<double>(g) /
+                                static_cast<double>(grid - 1);
+      double acc = 0.0;
+      for (std::size_t r = 0; r < n; ++r) {
+        std::vector<double> row(data.x.row_ptr(r), data.x.row_ptr(r) + 4);
+        row[f] = v;
+        if (fault::should_fire(fault::points::kForestNanFeature)) {
+          row[0] = kNaN;
+        }
+        acc += reference_predict(rf, row.data());
+      }
+      EXPECT_EQ(got[g].x, v);
+      EXPECT_EQ(got[g].y, acc / static_cast<double>(n)) << "grid point " << g;
+    }
+    const fault::PointStats want =
+        fault::stats(fault::points::kForestNanFeature);
+    EXPECT_EQ(got_stats.evaluated, grid * n);
+    EXPECT_EQ(got_stats.evaluated, want.evaluated);
+    EXPECT_EQ(got_stats.fired, want.fired);
+    EXPECT_GT(got_stats.fired, 0u);
+  }
+}
+
 TEST(FlatForest, NanRowRepairedWithSameMedians) {
   const auto rf = fit_forest(5);
   const auto flat = FlatForest::freeze(rf);

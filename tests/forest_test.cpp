@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -230,6 +233,107 @@ TEST(RandomForest, InputValidation) {
   const std::vector<double> y4{1, 2, 3, 4};
   EXPECT_THROW(rf.fit(x, y4, {"a"}, fast_params()), Error);
   EXPECT_THROW(FlatForest::freeze(rf), Error);  // unfitted
+}
+
+TEST(RandomForest, RejectsNonFiniteTrainingCells) {
+  // A NaN feature breaks the split search's ordering, and a NaN response
+  // or an infinite feature fits into NaN or meaningless statistics. The
+  // fit refuses each before any tree grows and names the column and row.
+  Rng rng(12);
+  const std::vector<std::string> names = {"c0", "c1", "c2", "c3", "c4",
+                                          "c5"};
+  linalg::Matrix x(40, 6);
+  std::vector<double> y(40);
+  for (std::size_t i = 0; i < 40; ++i) {
+    for (std::size_t j = 0; j < 6; ++j) x(i, j) = rng.uniform(0, 10);
+    y[i] = 2.0 * x(i, 0) + x(i, 3) + rng.normal(0.0, 0.5);
+  }
+  struct Bad {
+    bool response;
+    std::size_t column;
+    double value;
+    std::string names;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const Bad& bad : {Bad{false, 3, nan, "feature c3"},
+                         Bad{true, 0, nan, "response"},
+                         Bad{false, 5, inf, "feature c5"}}) {
+    linalg::Matrix bx = x;
+    std::vector<double> by = y;
+    (bad.response ? by[17] : bx(17, bad.column)) = bad.value;
+    RandomForest rf;
+    try {
+      rf.fit(bx, by, names, fast_params());
+      ADD_FAILURE() << "fit accepted a non-finite " << bad.names;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(bad.names), std::string::npos) << what;
+      EXPECT_NE(what.find("row 17"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(RandomForest, FitMatchesReferenceForest) {
+  // The hardware-scaling shape in miniature: two-valued machine-like
+  // columns, a constant column no split can test, a four-valued counter
+  // and continuous counters, 43 rows. Every importance field, OOB
+  // prediction and OOB statistic must equal the serial reference fit
+  // (index-sort trees, copied-row permutation importance, re-walked OOB
+  // votes) bit for bit.
+  Rng rng(31);
+  const std::size_t n = 43;
+  const std::size_t p = 10;
+  linalg::Matrix x(n, p);
+  std::vector<double> y(n);
+  std::vector<std::string> names;
+  for (std::size_t j = 0; j < p; ++j) names.push_back("v" + std::to_string(j));
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool second = i >= 23;
+    x(i, 0) = second ? 1.0 : 0.0;
+    x(i, 1) = second ? 3.0 : 1.5;
+    x(i, 2) = 7.0;
+    x(i, 3) = std::floor(rng.uniform(0.0, 4.0));
+    for (std::size_t j = 4; j < p; ++j) x(i, j) = rng.uniform(0.0, 100.0);
+    y[i] = x(i, 4) * (1.0 + x(i, 0)) + 10.0 * x(i, 3) + rng.normal(0.0, 1.0);
+  }
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  struct Shape {
+    std::size_t min_node_size;
+    std::size_t mtry;
+    bool importance;
+  };
+  for (const Shape& shape :
+       {Shape{5, 0, true}, Shape{2, 0, true}, Shape{1, p, true},
+        Shape{2, 3, false}}) {
+    ForestParams params;
+    params.n_trees = 40;
+    params.seed = 99 + shape.min_node_size;
+    params.min_node_size = shape.min_node_size;
+    params.mtry = shape.mtry;
+    params.importance = shape.importance;
+    RandomForest rf;
+    rf.fit(x, y, names, params);
+    const ReferenceForestFit ref = reference_forest_fit(x, y, names, params);
+    ASSERT_EQ(rf.oob_predictions().size(), n);
+    for (std::size_t r = 0; r < n; ++r) {
+      EXPECT_EQ(bits(rf.oob_predictions()[r]), bits(ref.oob_predictions[r]))
+          << "row " << r;
+    }
+    EXPECT_EQ(bits(rf.oob_mse()), bits(ref.oob_mse));
+    EXPECT_EQ(bits(rf.pct_var_explained()), bits(ref.pct_var_explained));
+    if (!shape.importance) continue;
+    const auto got = rf.importance();
+    ASSERT_EQ(got.size(), ref.importance.size());
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].name, ref.importance[k].name);
+      EXPECT_EQ(bits(got[k].pct_inc_mse), bits(ref.importance[k].pct_inc_mse));
+      EXPECT_EQ(bits(got[k].mean_inc_mse),
+                bits(ref.importance[k].mean_inc_mse));
+      EXPECT_EQ(bits(got[k].inc_node_purity),
+                bits(ref.importance[k].inc_node_purity));
+    }
+  }
 }
 
 class ForestParamSweep

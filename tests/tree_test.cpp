@@ -1,9 +1,13 @@
 // Tests for the CART regression tree.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "forest_reference.hpp"
 #include "ml/metrics.hpp"
 #include "ml/tree.hpp"
 
@@ -120,6 +124,73 @@ TEST(RegressionTree, BootstrapSampleFit) {
   Rng rng(9);
   tree.fit(x, y, {0, 1, 2, 3, 0, 1, 2, 3}, TreeParams{}, rng);
   EXPECT_DOUBLE_EQ(tree.predict_row(x.row_ptr(7)), 1.0);
+}
+
+TEST(RegressionTree, SplitSearchMatchesIndexSortReference) {
+  // Heavy ties: each column draws from its own small value set (one value
+  // makes it constant; signed zeros compare equal), the response from
+  // five values, and every fit takes a bootstrap sample, so rows repeat.
+  // n runs on both sides of std::sort's 16-element insertion cutoff. Each
+  // fit must grow the index-sort reference's nodes bit for bit and draw
+  // the same random numbers.
+  const std::vector<std::vector<double>> value_sets = {
+      {3.0}, {0.0, 1.0}, {-0.0, 0.0, 2.5, 7.0}, {1, 2, 3, 4, 5}, {}};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::size_t fits = 0;
+  std::size_t splits = 0;
+  for (std::size_t n = 2; n <= 60; ++n) {
+    Rng design(1000 + n);
+    const std::size_t p = 2 + n % 4;
+    linalg::Matrix x(n, p);
+    for (std::size_t j = 0; j < p; ++j) {
+      const auto& set = value_sets[(j + n) % value_sets.size()];
+      for (std::size_t i = 0; i < n; ++i) {
+        x(i, j) = set.empty() ? design.uniform(-1.0, 1.0)
+                              : set[design.uniform_index(set.size())];
+      }
+    }
+    std::vector<double> y(n);
+    for (double& v : y) v = static_cast<double>(design.uniform_index(5));
+    for (std::size_t min_node = 1; min_node <= 6; ++min_node) {
+      for (std::size_t mtry = 1; mtry <= p; ++mtry) {
+        TreeParams params;
+        params.min_node_size = min_node;
+        params.mtry = mtry;
+        Rng rng(n * 100 + min_node * 10 + mtry);
+        const std::vector<std::size_t> sample = rng.bootstrap_indices(n);
+        Rng tree_rng = rng;
+        Rng ref_rng = rng;
+        RegressionTree tree;
+        tree.fit(x, y, sample, params, tree_rng);
+        ReferenceTree ref;
+        ref.fit(x, y, sample, params, ref_rng);
+        ++fits;
+        ASSERT_EQ(tree.node_count(), ref.nodes.size())
+            << "n " << n << " min node " << min_node << " mtry " << mtry;
+        std::vector<double> purity(p, 0.0);
+        for (std::size_t i = 0; i < ref.nodes.size(); ++i) {
+          const auto got = tree.node_view(static_cast<std::int32_t>(i));
+          const ReferenceNode& want = ref.nodes[i];
+          EXPECT_EQ(got.left, want.left);
+          EXPECT_EQ(got.right, want.right);
+          EXPECT_EQ(got.feature, want.feature);
+          EXPECT_EQ(bits(got.threshold), bits(want.threshold));
+          EXPECT_EQ(bits(got.value), bits(want.value));
+          if (want.left != -1) {
+            purity[static_cast<std::size_t>(want.feature)] += want.sse_decrease;
+            ++splits;
+          }
+        }
+        const std::vector<double> got_purity = tree.impurity_importance(p);
+        for (std::size_t f = 0; f < p; ++f) {
+          EXPECT_EQ(bits(got_purity[f]), bits(purity[f]));
+        }
+        EXPECT_EQ(tree_rng(), ref_rng());
+      }
+    }
+  }
+  EXPECT_GT(fits, 1000u);
+  EXPECT_GT(splits, 3 * fits);
 }
 
 TEST(RegressionTree, PruneCollapsesNoiseSplits) {
