@@ -128,11 +128,12 @@ TEST(RegressionTree, BootstrapSampleFit) {
 
 TEST(RegressionTree, SplitSearchMatchesIndexSortReference) {
   // Heavy ties: each column draws from its own small value set (one value
-  // makes it constant; signed zeros compare equal), the response from
-  // five values, and every fit takes a bootstrap sample, so rows repeat.
-  // n runs on both sides of std::sort's 16-element insertion cutoff. Each
-  // fit must grow the index-sort reference's nodes bit for bit and draw
-  // the same random numbers.
+  // makes it constant; signed zeros compare equal), and every fit takes a
+  // bootstrap sample, so rows repeat. The responses are continuous, so
+  // the order of a tie group changes the bits of the sums that score a
+  // split. n runs on both sides of std::sort's 16-element insertion
+  // cutoff. Each fit must grow the index-sort reference's nodes bit for
+  // bit and draw the same random numbers.
   const std::vector<std::vector<double>> value_sets = {
       {3.0}, {0.0, 1.0}, {-0.0, 0.0, 2.5, 7.0}, {1, 2, 3, 4, 5}, {}};
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
@@ -150,7 +151,7 @@ TEST(RegressionTree, SplitSearchMatchesIndexSortReference) {
       }
     }
     std::vector<double> y(n);
-    for (double& v : y) v = static_cast<double>(design.uniform_index(5));
+    for (double& v : y) v = design.normal(0.0, 10.0);
     for (std::size_t min_node = 1; min_node <= 6; ++min_node) {
       for (std::size_t mtry = 1; mtry <= p; ++mtry) {
         TreeParams params;
