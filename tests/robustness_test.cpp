@@ -127,6 +127,24 @@ TEST_F(RepositoryRobustness, BadChecksumQuarantinedAndRecollected) {
   expect_quarantine_and_recollect(repo, entry);
 }
 
+TEST_F(RepositoryRobustness, EntryBytesArePinned) {
+  // The on-disk bytes of an entry: the CSV, then the checksum footer
+  // over every byte before it. Stored sweeps written by earlier builds
+  // must keep loading, so this literal only changes with a format break.
+  const profiling::RunRepository repo(dir_.string());
+  ml::Dataset ds;
+  ds.add_column("size", {64, 128, 256});
+  ds.add_column("time_ms", {0.125, 1.5, 3.0625});
+  ds.add_column("inst_issued", {1000, 2000, 4096});
+  repo.save("needle", "gtx580", ds);
+  EXPECT_EQ(*read_file((dir_ / "needle__gtx580.csv").string()),
+            "size,time_ms,inst_issued\n"
+            "64,0.125,1000\n"
+            "128,1.5,2000\n"
+            "256,3.0625,4096\n"
+            "#checksum,fnv1a64,05fd20d63b527eec\n");
+}
+
 TEST_F(RepositoryRobustness, QuarantinedEntriesExcludedFromKeys) {
   const profiling::RunRepository repo(dir_.string());
   ml::Dataset ds;
