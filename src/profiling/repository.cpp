@@ -10,7 +10,6 @@
 #include "common/fault.hpp"
 #include "common/io.hpp"
 #include "common/log.hpp"
-#include "common/string_util.hpp"
 #include "gpusim/arch.hpp"
 
 namespace fs = std::filesystem;
@@ -28,42 +27,6 @@ std::string sanitize(const std::string& s) {
   }
   BF_CHECK_MSG(!out.empty(), "empty repository key");
   return out;
-}
-
-// Content checksum footer, last line of every entry. The hash covers
-// every byte before the footer, so truncation, bit rot and torn writes
-// are all detected on load.
-constexpr const char* kChecksumPrefix = "#checksum,fnv1a64,";
-
-std::string with_footer(const std::string& payload) {
-  return payload + kChecksumPrefix + to_hex64(fnv1a64(payload)) + "\n";
-}
-
-/// Split a stored entry into payload + verified footer. Returns the
-/// payload, or an error reason via `why`.
-std::optional<std::string> verify_footer(const std::string& content,
-                                         std::string& why) {
-  if (content.empty()) {
-    why = "file is empty";
-    return std::nullopt;
-  }
-  const std::size_t pos = content.rfind(kChecksumPrefix);
-  if (pos == std::string::npos ||
-      (pos != 0 && content[pos - 1] != '\n')) {
-    why = "missing checksum footer";
-    return std::nullopt;
-  }
-  const std::string payload = content.substr(0, pos);
-  const std::string footer =
-      std::string(trim(std::string_view(content).substr(pos)));
-  const std::string expected =
-      kChecksumPrefix + to_hex64(fnv1a64(payload));
-  if (footer != expected) {
-    why = "checksum mismatch (stored " + footer.substr(footer.rfind(',') + 1) +
-          ", computed " + expected.substr(expected.rfind(',') + 1) + ")";
-    return std::nullopt;
-  }
-  return payload;
 }
 
 /// Post-save disk-rot fault points (see bf::fault): a torn write leaves
@@ -101,23 +64,8 @@ void RunRepository::save(const std::string& workload, const std::string& arch,
   const std::string path = path_for(workload, arch);
   std::ostringstream os;
   ds.to_csv().write(os);
-  atomic_write_file(path, with_footer(os.str()));
+  atomic_write_file(path, seal(os.str()));
   inject_storage_faults(path);
-}
-
-std::optional<ml::Dataset> RunRepository::handle_corrupt(
-    const std::string& path, const std::string& reason) const {
-  const std::string quarantined = path + ".quarantined";
-  std::error_code ec;
-  fs::rename(path, quarantined, ec);
-  if (ec) {
-    // Cannot move it aside; remove so the entry is recollected anyway.
-    fs::remove(path, ec);
-  }
-  BF_WARN("repository entry " << path << " is corrupt (" << reason
-                              << "); quarantined to " << quarantined
-                              << " — the sweep will be recollected");
-  return std::nullopt;
 }
 
 std::optional<ml::Dataset> RunRepository::load(const std::string& workload,
@@ -125,18 +73,21 @@ std::optional<ml::Dataset> RunRepository::load(const std::string& workload,
   const std::string path = path_for(workload, arch);
   if (!fs::exists(path)) return std::nullopt;
 
-  const std::optional<std::string> content = read_file(path);
-  if (!content) return handle_corrupt(path, "file cannot be read");
-  std::string why;
-  const std::optional<std::string> payload = verify_footer(*content, why);
-  if (!payload) return handle_corrupt(path, why);
-
   ml::Dataset ds;
   try {
-    std::istringstream is(*payload);
+    const std::optional<std::string> content = read_file(path);
+    BF_CHECK_MSG(content.has_value(), "file cannot be read");
+    std::istringstream is(unseal(*content).payload);
     ds = ml::Dataset::from_csv(CsvTable::read(is));
   } catch (const Error& e) {
-    return handle_corrupt(path, e.what());
+    // A damaged entry is moved aside and reported absent, so
+    // get_or_collect() recollects it.
+    quarantine_file(path);
+    BF_WARN("repository entry " << path << " is corrupt (" << e.what()
+                                << "); quarantined to " << path
+                                << ".quarantined — the sweep will be"
+                                << " recollected");
+    return std::nullopt;
   }
 
   if (options_.validate_on_load) {

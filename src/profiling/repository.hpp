@@ -4,11 +4,12 @@
 // architecture, so expensive collections can be reused across analyses.
 //
 // Stored entries are written atomically (temp file + rename, see
-// bf::atomic_write_file) and carry a FNV-1a checksum footer. A corrupt
-// entry — truncated, bit-rotted, garbage, or missing its footer — is
-// quarantined on load (renamed to "<entry>.quarantined") and reported as
-// absent, so get_or_collect() transparently recollects instead of
-// aborting the analysis.
+// bf::atomic_write_file) and sealed with a FNV-1a checksum footer
+// (bf::seal). A corrupt entry — truncated, bit-rotted, garbage, or
+// missing its footer — is quarantined on load (bf::quarantine_file
+// renames it to "<entry>.quarantined") and reported as absent, so
+// get_or_collect() transparently recollects instead of aborting the
+// analysis.
 #pragma once
 
 #include <optional>
@@ -66,10 +67,6 @@ class RunRepository {
  private:
   std::string path_for(const std::string& workload,
                        const std::string& arch) const;
-  /// Move a damaged entry aside and report; returns nullopt (the load
-  /// result).
-  std::optional<ml::Dataset> handle_corrupt(const std::string& path,
-                                            const std::string& reason) const;
 
   std::string root_;
   RepositoryOptions options_;

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <sstream>
 
@@ -25,18 +24,9 @@ std::string tokenize_field(const std::string& s) {
   return out;
 }
 
-/// Move a corrupt bundle out of the registry's way. Rename is atomic;
-/// when it fails (cross-device, permissions) fall back to removal so a
-/// poisoned file cannot be retried forever.
-void quarantine(const std::string& path) {
-  const std::string target = path + ".quarantined";
-  if (std::rename(path.c_str(), target.c_str()) != 0) {
-    std::remove(path.c_str());
-  }
-}
-
 std::string payload_to_string(const ModelBundle& bundle) {
   std::ostringstream os;
+  os << "bfmodel " << kBundleFormatVersion << "\n";
   os << "bf_bundle_meta 2\n";
   os << "name " << tokenize_field(bundle.meta.name) << "\n";
   os << "workload " << tokenize_field(bundle.meta.workload) << "\n";
@@ -60,9 +50,10 @@ std::string payload_to_string(const ModelBundle& bundle) {
   return os.str();
 }
 
-ModelBundle payload_from_string(const std::string& payload,
+ModelBundle payload_from_string(std::string payload,
                                 const std::string& origin) {
-  std::istringstream is(payload);
+  std::istringstream is(std::move(payload));
+  read_format_version(is, "bfmodel", kBundleFormatVersion);
   read_format_version(is, "bf_bundle_meta", 2);
   ModelBundle bundle;
   std::string tag;
@@ -116,42 +107,19 @@ ModelBundle payload_from_string(const std::string& payload,
   return bundle;
 }
 
-/// Full parse of bundle file content, keeping the payload checksum the
-/// reload layer supervises. The stat fields of the returned BundleFile
-/// are left zero; load_bundle_file fills them from the filesystem.
+/// Full parse of bundle file content, keeping the checksum the reload
+/// layer supervises. The stat fields of the returned BundleFile are left
+/// zero; load_bundle_file fills them from the filesystem.
 BundleFile bundle_file_from_string(const std::string& content,
                                    const std::string& origin) {
-  std::istringstream is(content);
-  read_format_version(is, "bfmodel", kBundleFormatVersion);
-  std::string tag;
-  std::size_t payload_size = 0;
-  is >> tag >> payload_size;
-  BF_CHECK_MSG(is && tag == "bytes",
-               origin << ": bad bundle header (bytes)");
-  std::string algo;
-  std::string want_hex;
-  is >> tag >> algo >> want_hex;
-  BF_CHECK_MSG(is && tag == "checksum" && algo == "fnv1a64" &&
-                   want_hex.size() == 16,
-               origin << ": bad bundle header (checksum)");
-  // Exactly one newline separates the header from the payload; anything
-  // else would shift the byte count and is corruption.
-  BF_CHECK_MSG(is.get() == '\n', origin << ": bad bundle header framing");
-  // The byte count is checked against the content already in memory
-  // before it sizes anything: a forged count must fail, not allocate.
-  const auto header_end = static_cast<std::size_t>(is.tellg());
-  const std::size_t available = content.size() - header_end;
-  BF_CHECK_MSG(payload_size <= available,
-               origin << ": truncated bundle payload (want " << payload_size
-                      << " bytes, got " << available << ")");
-  const std::string payload = content.substr(header_end, payload_size);
-  const std::string got_hex = to_hex64(fnv1a64(payload));
-  BF_CHECK_MSG(got_hex == want_hex,
-               origin << ": bundle checksum mismatch (stored " << want_hex
-                      << ", computed " << got_hex << ")");
+  // The version line is read before the footer, so a bundle written by
+  // another build is refused by its version, not by its framing.
+  std::istringstream version_line(content.substr(0, content.find('\n')));
+  read_format_version(version_line, "bfmodel", kBundleFormatVersion);
+  Unsealed sealed = unseal(content);
   BundleFile file;
-  file.bundle = payload_from_string(payload, origin);
-  file.checksum = got_hex;
+  file.bundle = payload_from_string(std::move(sealed.payload), origin);
+  file.checksum = std::move(sealed.checksum);
   return file;
 }
 
@@ -176,7 +144,7 @@ BundleFile read_bundle_file(const std::string& path) {
     file.size_bytes = static_cast<std::uint64_t>(content->size());
     return file;
   } catch (const Error&) {
-    quarantine(path);
+    quarantine_file(path);
     throw;
   }
 }
@@ -184,13 +152,7 @@ BundleFile read_bundle_file(const std::string& path) {
 }  // namespace
 
 std::string bundle_to_string(const ModelBundle& bundle) {
-  const std::string payload = payload_to_string(bundle);
-  std::ostringstream os;
-  os << "bfmodel " << kBundleFormatVersion << "\n";
-  os << "bytes " << payload.size() << "\n";
-  os << "checksum fnv1a64 " << to_hex64(fnv1a64(payload)) << "\n";
-  os << payload;
-  return os.str();
+  return seal(payload_to_string(bundle));
 }
 
 ModelBundle bundle_from_string(const std::string& content,
@@ -201,8 +163,6 @@ ModelBundle bundle_from_string(const std::string& content,
 void save_bundle(const std::string& path, const ModelBundle& bundle) {
   atomic_write_file(path, bundle_to_string(bundle));
 }
-
-void quarantine_bundle(const std::string& path) { quarantine(path); }
 
 bool stat_bundle(const std::string& path, std::uint64_t* size_bytes,
                  std::int64_t* mtime_ns) {

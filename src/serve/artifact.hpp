@@ -5,18 +5,20 @@
 // DomainGuard training hull (with its margin), sanity envelopes and the
 // architecture whose physical caps clamp predictions — plus provenance
 // (who trained it, with which build) and a counter-name schema. The
-// on-disk format is a three-line header
+// on-disk format is a sealed file (bf::seal):
 //
 //   bfmodel <format_version>
-//   bytes <payload_size>
-//   checksum fnv1a64 <hex64>
+//   <records>
+//   #checksum,fnv1a64,<hex64>
 //
-// followed by exactly `payload_size` payload bytes. The checksum covers
-// the payload, so truncation, bit rot and torn writes are all detected
-// on load; writes go through bf::atomic_write_file so readers never see
-// a partial bundle. A corrupt bundle is quarantined (renamed to
-// "<path>.quarantined", the run-repository convention) and the load
-// throws — the serving layer degrades to an error reply, never a crash.
+// The reader checks the version line first, so a bundle from another
+// build is refused by its version; the footer's checksum covers every
+// byte before it, so truncation, bit rot and torn writes are all
+// detected before any record is parsed. Writes go through
+// bf::atomic_write_file so readers never see a partial bundle. A corrupt
+// bundle is quarantined (bf::quarantine_file renames it to
+// "<path>.quarantined", as the run repository does) and the load throws —
+// the serving layer degrades to an error reply, never a crash.
 #pragma once
 
 #include <cstddef>
@@ -34,7 +36,7 @@ namespace bf::serve {
 /// readable version; a bundle written by an older build is rejected (and
 /// quarantined) rather than converted — re-export it with
 /// `bf_analyze --export-model`.
-inline constexpr int kBundleFormatVersion = 7;
+inline constexpr int kBundleFormatVersion = 8;
 
 /// File suffix of model bundles ("reduce1.bfmodel").
 inline constexpr const char* kBundleSuffix = ".bfmodel";
@@ -76,11 +78,11 @@ struct ModelBundle {
 };
 
 /// A bundle plus the on-disk identity the hot-reload layer supervises:
-/// payload checksum and the stat snapshot used for cheap staleness
+/// the footer's checksum and the stat snapshot used for cheap staleness
 /// detection.
 struct BundleFile {
   ModelBundle bundle;
-  std::string checksum;  ///< fnv1a64 hex of the payload
+  std::string checksum;  ///< fnv1a64 hex of every byte before the footer
   std::uint64_t size_bytes = 0;
   std::int64_t mtime_ns = 0;
 };
@@ -90,7 +92,8 @@ struct BundleFile {
 bool stat_bundle(const std::string& path, std::uint64_t* size_bytes,
                  std::int64_t* mtime_ns);
 
-/// Serialise a bundle to its full file content (header + payload).
+/// Serialise a bundle to its full file content (version line, records,
+/// checksum footer).
 std::string bundle_to_string(const ModelBundle& bundle);
 
 /// Parse and validate bundle file content. `origin` names the source in
@@ -112,11 +115,6 @@ ModelBundle load_bundle(const std::string& path);
 /// load_bundle plus the identity record the registry's reload
 /// supervision needs (checksum, stat snapshot).
 BundleFile load_bundle_file(const std::string& path);
-
-/// Move a rejected bundle to "<path>.quarantined" (the load path does
-/// this automatically on parse failure; the reload path calls it for
-/// bundles that parse but fail canary validation).
-void quarantine_bundle(const std::string& path);
 
 /// Golden-probe canary validation: the bundle must record at least one
 /// probe, and every probe prediction must be finite, non-negative,

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/io.hpp"
 
 namespace bf::serve {
 namespace {
@@ -153,7 +154,7 @@ std::shared_ptr<const LoadedModel> ModelRegistry::get(
       BundleFile staged = load_bundle_file(path);
       std::string why;
       if (!validate_canary(staged.bundle, kCanaryRtol, &why)) {
-        quarantine_bundle(path);
+        quarantine_file(path);
         BF_FAIL("model " << name << " failed canary validation: " << why);
       }
       std::shared_ptr<const LoadedModel> model;
@@ -232,7 +233,7 @@ ReloadResult ModelRegistry::reload(const std::string& name) {
     }
     std::string why;
     if (!validate_canary(staged.bundle, kCanaryRtol, &why)) {
-      quarantine_bundle(path);
+      quarantine_file(path);
       std::lock_guard<std::mutex> lock(mu_);
       Lifecycle& lc = lifecycle_[name];
       lc.reloading = false;

@@ -10,8 +10,8 @@
 // holding it.
 //
 // Hot reload (supervised, reversible): the registry tracks each bundle's
-// on-disk identity — path, fnv1a64 payload checksum, outer format
-// version, stat snapshot — plus a per-name monotonically increasing
+// on-disk identity — path, the fnv1a64 checksum of its footer, outer
+// format version, stat snapshot — plus a per-name monotonically increasing
 // generation counter that survives eviction. reload(name) stages the new
 // file off the request path, validates it against the golden-probe
 // canary, and only then atomically promotes it via shared_ptr swap:
@@ -49,7 +49,7 @@ namespace bf::serve {
 struct LoadedModel {
   ModelBundle bundle;
   std::uint64_t generation = 0;  ///< per-name, monotonic, survives eviction
-  std::string checksum;          ///< fnv1a64 hex of the bundle payload
+  std::string checksum;          ///< the bundle's footer checksum (hex)
   std::string loaded_at;         ///< UTC timestamp of the promotion
 };
 

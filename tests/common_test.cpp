@@ -1,10 +1,15 @@
-// Tests for bf::common: RNG, CSV, string utilities, thread pool.
+// Tests for bf::common: RNG, CSV, string utilities, sealed files, thread
+// pool.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -13,6 +18,7 @@
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/io.hpp"
 #include "common/rng.hpp"
 #include "common/string_util.hpp"
 #include "common/thread_pool.hpp"
@@ -267,6 +273,74 @@ TEST(Csv, ColumnAsDoubles) {
   const auto col = t.column_as_doubles("v");
   ASSERT_EQ(col.size(), 2u);
   EXPECT_DOUBLE_EQ(col[1], 2.5);
+}
+
+// ---- sealed files ----
+
+TEST(Seal, RoundTripsEmptyAndMultiLinePayloads) {
+  for (const std::string& payload :
+       {std::string(), std::string("size,time_ms\n64,0.125\n128,1.5\n")}) {
+    const std::string sealed = seal(payload);
+    EXPECT_EQ(sealed,
+              payload + "#checksum,fnv1a64," + to_hex64(fnv1a64(payload)) +
+                  "\n");
+    const Unsealed back = unseal(sealed);
+    EXPECT_EQ(back.payload, payload);
+    EXPECT_EQ(back.checksum, to_hex64(fnv1a64(payload)));
+  }
+}
+
+TEST(Seal, EveryByteFlipAndTruncationIsRejected) {
+  const std::string sealed = seal("size,time_ms\n64,0.125\n128,1.5\n");
+  for (std::size_t i = 0; i < sealed.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = sealed;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      EXPECT_THROW(unseal(flipped), Error) << "byte " << i << " bit " << bit;
+    }
+  }
+  for (std::size_t n = 0; n < sealed.size(); ++n) {
+    EXPECT_THROW(unseal(sealed.substr(0, n)), Error) << n << " bytes";
+  }
+}
+
+TEST(Seal, MisplacedShortAndTrailedFootersAreRejected) {
+  const std::string payload = "a,b\n1,2\n";
+  const std::string hex = to_hex64(fnv1a64(payload));
+  // The footer must start a line, carry 16 hex digits and end the file.
+  const std::string no_line_start = "a,b\n1,2#checksum,fnv1a64," +
+                                    to_hex64(fnv1a64("a,b\n1,2")) + "\n";
+  EXPECT_THROW(unseal(no_line_start), Error);
+  EXPECT_THROW(unseal(payload + "#checksum,fnv1a64," + hex.substr(1) + "\n"),
+               Error);
+  EXPECT_THROW(unseal(seal(payload) + "x"), Error);
+  EXPECT_THROW(unseal(seal(payload) + "\n"), Error);
+  EXPECT_THROW(unseal(payload), Error);
+  EXPECT_NO_THROW(unseal(payload + "#checksum,fnv1a64," + hex + "\n"));
+}
+
+TEST(QuarantineFile, LeavesOnlyTheQuarantinedCopy) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("bf_quarantine_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "entry.csv").string();
+  std::ofstream(path, std::ios::binary) << "torn";
+  quarantine_file(path);
+  std::vector<std::string> names;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    names.push_back(e.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"entry.csv.quarantined"});
+  EXPECT_EQ(*read_file(path + ".quarantined"), "torn");
+
+  // A rename that cannot succeed (a directory holds the target name)
+  // removes the file instead, so it is not read again.
+  const std::string blocked = (dir / "blocked.csv").string();
+  std::ofstream(blocked, std::ios::binary) << "torn";
+  std::filesystem::create_directories(blocked + ".quarantined/keep");
+  quarantine_file(blocked);
+  EXPECT_FALSE(std::filesystem::exists(blocked));
+  std::filesystem::remove_all(dir);
 }
 
 // ---- thread pool ----

@@ -180,26 +180,26 @@ TEST_F(PowerArtifactTest, PoweredRoundTripIsBitIdentical) {
 }
 
 TEST_F(PowerArtifactTest, PreviousBundleVersionIsRejected) {
-  // A bundle whose outer header is rewritten to the previous version
-  // (payload and checksum intact) must not load: every bundle record is
+  // A bundle whose version line is rewritten to the previous version
+  // (records and footer intact) must not load: every bundle record is
   // readable in exactly one version, and older bundles are re-exported.
   serve::export_model(bundle_path("plain"), "plain", "reduce1", "gtx580",
                       shared_sweep().num_rows(), shared_time());
   auto content = read_file(bundle_path("plain"));
   ASSERT_TRUE(content.has_value());
-  ASSERT_EQ(content->rfind("bfmodel 7\n", 0), 0u);
+  ASSERT_EQ(content->rfind("bfmodel 8\n", 0), 0u);
   // Powerless bundles state the absence of the power record explicitly.
   EXPECT_NE(content->find("\npower 0\n"), std::string::npos);
 
   std::string old = *content;
-  old.replace(0, std::string("bfmodel 7").size(), "bfmodel 6");
+  old.replace(0, std::string("bfmodel 8").size(), "bfmodel 7");
   try {
     serve::bundle_from_string(old, "test");
-    ADD_FAILURE() << "bfmodel 6 bundle loaded";
+    ADD_FAILURE() << "bfmodel 7 bundle loaded";
   } catch (const Error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("format_version 6"), std::string::npos) << what;
-    EXPECT_NE(what.find("bfmodel 7"), std::string::npos) << what;
+    EXPECT_NE(what.find("format_version 7"), std::string::npos) << what;
+    EXPECT_NE(what.find("bfmodel 8"), std::string::npos) << what;
   }
 }
 

@@ -21,9 +21,10 @@ fail() {
     --export-model "$WORK/reduce1.bfmodel" >/dev/null
 cp "$WORK/reduce1.bfmodel" "$WORK/second.bfmodel"
 cp "$WORK/reduce1.bfmodel" "$WORK/broken.bfmodel"
-# Flip one payload byte near the end of the copy.
+# Flip one payload byte near the end of the copy, before the 35-byte
+# checksum footer.
 SIZE=$(wc -c < "$WORK/broken.bfmodel")
-printf 'X' | dd of="$WORK/broken.bfmodel" bs=1 seek=$((SIZE - 20)) \
+printf 'X' | dd of="$WORK/broken.bfmodel" bs=1 seek=$((SIZE - 60)) \
     conv=notrunc 2>/dev/null
 
 # --- drive the server: hit, miss/evict (cache=1), corrupt, unknown ---

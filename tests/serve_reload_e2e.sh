@@ -60,8 +60,8 @@ predicted_ms() {
     --export-model "$WORK/gen_b.bfmodel" >/dev/null
 cmp -s "$WORK/gen_a.bfmodel" "$WORK/gen_b.bfmodel" \
     && fail "bundle variants are identical"
-CK_A=$(head -3 "$WORK/gen_a.bfmodel" | sed -n 's/^checksum fnv1a64 //p')
-CK_B=$(head -3 "$WORK/gen_b.bfmodel" | sed -n 's/^checksum fnv1a64 //p')
+CK_A=$(tail -1 "$WORK/gen_a.bfmodel" | sed -n 's/^#checksum,fnv1a64,//p')
+CK_B=$(tail -1 "$WORK/gen_b.bfmodel" | sed -n 's/^#checksum,fnv1a64,//p')
 [ -n "$CK_A" ] && [ -n "$CK_B" ] || fail "cannot read bundle checksums"
 cp "$WORK/gen_a.bfmodel" "$WORK/reduce1.bfmodel"
 

@@ -66,20 +66,23 @@ const power::PowerPredictor& trained_power() {
   return p;
 }
 
-/// Split an exported bundle into its three-line outer header and the
-/// payload the header's byte count and checksum cover.
-std::pair<std::string, std::string> split_bundle(const std::string& content) {
-  std::size_t end = 0;
-  for (int line = 0; line < 3; ++line) end = content.find('\n', end) + 1;
-  return {content.substr(0, end), content.substr(end)};
+/// The version line of the bundles this build writes.
+std::string version_line() {
+  return "bfmodel " + std::to_string(serve::kBundleFormatVersion) + "\n";
 }
 
-/// Reassemble a bundle around an edited payload, with the outer byte
-/// count and checksum recomputed so that only the edit can reject it.
-std::string reseal_bundle(const std::string& payload) {
-  return "bfmodel " + std::to_string(serve::kBundleFormatVersion) +
-         "\nbytes " + std::to_string(payload.size()) +
-         "\nchecksum fnv1a64 " + to_hex64(fnv1a64(payload)) + "\n" + payload;
+/// Split an exported bundle into its version line and the records
+/// between that line and the checksum footer.
+std::pair<std::string, std::string> split_bundle(const std::string& content) {
+  const std::string payload = unseal(content).payload;
+  const std::size_t end = payload.find('\n') + 1;
+  return {payload.substr(0, end), payload.substr(end)};
+}
+
+/// Reassemble a bundle around edited records, resealed so that only the
+/// edit can reject it.
+std::string reseal_bundle(const std::string& records) {
+  return seal(version_line() + records);
 }
 
 /// Two guarded predictions give the same answer: value, interval, grade.
@@ -176,31 +179,25 @@ TEST_F(ServeTest, CorruptBundleIsQuarantined) {
   EXPECT_TRUE(std::filesystem::exists(path + ".quarantined"));
 }
 
-/// The current bundle with its outer header rewritten to `version`
-/// (payload and checksum intact).
+/// The current bundle with its version line rewritten to `version`
+/// (records and footer intact).
 std::string with_header_version(const std::string& content, int version) {
-  const std::string current =
-      "bfmodel " + std::to_string(serve::kBundleFormatVersion) + "\n";
-  EXPECT_EQ(content.rfind(current, 0), 0u);
+  EXPECT_EQ(content.rfind(version_line(), 0), 0u);
   return "bfmodel " + std::to_string(version) + "\n" +
-         content.substr(current.size());
+         content.substr(version_line().size());
 }
 
 TEST_F(ServeTest, BadMagicAndOtherVersionsAreRejected) {
   EXPECT_THROW(serve::bundle_from_string("bogus 1\n", "t"), Error);
-  // A valid header and checksum over an empty payload.
-  EXPECT_THROW(serve::bundle_from_string(
-                   "bfmodel " + std::to_string(serve::kBundleFormatVersion) +
-                       "\nbytes 0\nchecksum fnv1a64 cbf29ce484222325\n",
-                   "t"),
-               Error);
+  // A valid version line and footer around an empty body.
+  EXPECT_THROW(serve::bundle_from_string(seal(version_line()), "t"), Error);
   EXPECT_THROW(serve::bundle_from_string("", "t"), Error);
   export_named("reduce1");
   const std::string content = *read_file(bundle_path("reduce1"));
   EXPECT_NO_THROW(serve::bundle_from_string(content, "t"));
   // Every past vintage and a future one: exactly one version is read.
   for (const int version :
-       {1, 2, 3, 4, 5, 6, serve::kBundleFormatVersion + 1}) {
+       {1, 2, 3, 4, 5, 6, 7, serve::kBundleFormatVersion + 1}) {
     EXPECT_THROW(
         serve::bundle_from_string(with_header_version(content, version), "t"),
         Error)
@@ -310,9 +307,6 @@ TEST_F(ServeTest, ForgedSizeHeadersFailBeforeAllocating) {
     std::string content;
   };
   const std::vector<Case> cases = {
-      {"bytes", "bfmodel " + std::to_string(serve::kBundleFormatVersion) +
-                    "\nbytes 999999999999999\nchecksum fnv1a64 "
-                    "0123456789abcdef\nxx"},
       {"nodes", forge_count("nodes", "2000000000")},
       {"envelope", forge_count("envelope", "2000000000")},
   };
@@ -331,10 +325,15 @@ TEST_F(ServeTest, RegistryQuarantinesPreviousVersionBundle) {
   // What an operator sees when a bundle from an older build is dropped
   // into the model directory: the request is answered with
   // model_unavailable naming both versions, and the file takes the
-  // corrupt-bundle path into quarantine.
+  // corrupt-bundle path into quarantine. bfmodel 7 framed its records
+  // with a byte count and a checksum header instead of a footer.
   export_named("old");
   const std::string path = bundle_path("old");
-  const std::string old = with_header_version(*read_file(path), 6);
+  const std::string records = split_bundle(*read_file(path)).second;
+  const std::string old = "bfmodel 7\nbytes " +
+                          std::to_string(records.size()) +
+                          "\nchecksum fnv1a64 " + to_hex64(fnv1a64(records)) +
+                          "\n" + records;
   std::ofstream(path, std::ios::binary | std::ios::trunc) << old;
   serve::ServerOptions options;
   options.model_dir = dir_.string();
@@ -344,8 +343,8 @@ TEST_F(ServeTest, RegistryQuarantinesPreviousVersionBundle) {
   EXPECT_FALSE(reply.find("ok")->boolean);
   EXPECT_EQ(reply.find("code")->str, "model_unavailable");
   const std::string error = reply.find("error")->str;
-  EXPECT_NE(error.find("format_version 6"), std::string::npos) << error;
-  EXPECT_NE(error.find("bfmodel 7"), std::string::npos) << error;
+  EXPECT_NE(error.find("format_version 7"), std::string::npos) << error;
+  EXPECT_NE(error.find("bfmodel 8"), std::string::npos) << error;
   EXPECT_FALSE(std::filesystem::exists(path));
   EXPECT_TRUE(std::filesystem::exists(path + ".quarantined"));
 }

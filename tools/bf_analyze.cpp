@@ -193,13 +193,15 @@ void default_range(const std::string& workload, double& lo, double& hi,
 }
 
 /// --check mode: validate counter data against the bf::check invariant
-/// table instead of fitting models. Returns the number of violations.
+/// table instead of fitting models. Returns the number of violations plus
+/// the number of corrupt repository entries.
 std::size_t run_check_mode(const Args& args, double lo, double hi,
                            std::int64_t multiple) {
   std::printf("checking counter invariants (%zu rules)\n\n",
               check::rule_table().size());
 
   std::vector<check::Violation> violations;
+  std::size_t corrupt = 0;
   if (!args.repo.empty()) {
     // Validate every sweep stored in the repository.
     profiling::RepositoryOptions ropts;
@@ -215,6 +217,12 @@ std::size_t run_check_mode(const Args& args, double lo, double hi,
         continue;
       }
       const auto ds = repo.load(workload, arch);
+      if (!ds) {
+        std::printf("  %s on %s: corrupt, quarantined\n", workload.c_str(),
+                    arch.c_str());
+        ++corrupt;
+        continue;
+      }
       const auto found = check::validate_dataset(*ds, *spec);
       std::printf("  %s on %s: %zu rows, %zu violation(s)\n",
                   workload.c_str(), arch.c_str(), ds->num_rows(),
@@ -242,12 +250,12 @@ std::size_t run_check_mode(const Args& args, double lo, double hi,
                 violations.size());
   }
 
-  if (violations.empty()) {
-    std::printf("\nall counter invariants hold\n");
-  } else {
+  if (!violations.empty()) {
     std::printf("\n%s", check::to_string(violations).c_str());
+  } else if (corrupt == 0) {
+    std::printf("\nall counter invariants hold\n");
   }
-  return violations.size();
+  return violations.size() + corrupt;
 }
 
 /// Answer every --predict size through the guarded query: time rows,
