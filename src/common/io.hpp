@@ -7,14 +7,11 @@
 // destination only after the full payload hit the stream, so readers see
 // either the old content or the new content, never a prefix.
 //
-// A file that must prove it is whole when it comes back from disk is
-// sealed: its last line is a checksum footer
-//
-//   #checksum,fnv1a64,<16 hex digits over every byte before the footer>
-//
-// so truncation, bit rot and torn writes are all caught by unseal()
-// before any field is parsed. A reader that rejects a file moves it
-// aside with quarantine_file().
+// A file that must prove it is whole when read back (a repository entry,
+// a .bfmodel bundle) is sealed: its last line is the checksum footer
+// "#checksum,fnv1a64,<hex>" over every byte before it, so unseal() catches
+// truncation, bit rot and torn writes before any field is parsed, and the
+// reader moves a rejected file aside with quarantine_file().
 #pragma once
 
 #include <cstdint>

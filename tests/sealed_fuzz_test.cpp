@@ -11,7 +11,6 @@
 
 #include <filesystem>
 #include <iterator>
-#include <sstream>
 #include <string>
 #include <string_view>
 
